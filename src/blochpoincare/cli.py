@@ -1,11 +1,12 @@
 """Scenario runner: JSON configs in, JSON/CSV files out.
 
 One subcommand per scenario kind (evolve, optimize-coherence, mueller,
-interference, correspondence). Configs are validated against per-kind JSON
-schemas before any computation; outputs are byte-deterministic for identical
-configs (sorted keys, fixed float formatting, no timestamps). Every
-successful run re-validates the library invariants on its own outputs before
-writing.
+interference, correspondence). Configs are validated against the per-kind
+JSON schemas of the packaged ``scenario-config.schema.json``, the one file
+published at ``schemas/``, before any computation; outputs are
+byte-deterministic for identical configs (sorted keys, fixed float
+formatting, no timestamps). Every successful run re-validates the library
+invariants on its own outputs before writing.
 
 Exit codes: 0 success, 2 config/schema violation, 3 numerical gate failure,
 4 I/O error.
@@ -14,6 +15,8 @@ Exit codes: 0 success, 2 config/schema violation, 3 numerical gate failure,
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib.resources
 import json
 import sys
 from pathlib import Path
@@ -38,6 +41,7 @@ from .interference import (
     quantum_probability,
 )
 from .mueller import (
+    _DEFAULT_PROBE_SEED,
     classify_mueller,
     is_unitary,
     mueller_from_jones,
@@ -66,7 +70,6 @@ KINDS = ("evolve", "optimize-coherence", "mueller", "interference", "corresponde
 
 TRAJECTORY_HEADER = "t,re_c0,im_c0,re_c1,im_c1,bx,by,bz,fidelity"
 
-_DEFAULT_SEED = 20240801
 _DEFAULT_SAMPLES = 101
 
 
@@ -79,159 +82,12 @@ class NumericalGateError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Config schemas
+# Config validation
 # ---------------------------------------------------------------------------
 
-_COMPLEX = {
-    "oneOf": [
-        {"type": "number"},
-        {
-            "type": "array",
-            "items": {"type": "number"},
-            "minItems": 2,
-            "maxItems": 2,
-        },
-    ]
-}
-_STATE = {"type": "array", "items": _COMPLEX, "minItems": 2, "maxItems": 2}
-_MATRIX2 = {
-    "type": "array",
-    "items": {"type": "array", "items": _COMPLEX, "minItems": 2, "maxItems": 2},
-    "minItems": 2,
-    "maxItems": 2,
-}
-_GRID = {
-    "type": "object",
-    "properties": {
-        "start": {"type": "number"},
-        "stop": {"type": "number"},
-        "count": {"type": "integer", "minimum": 1},
-    },
-    "required": ["start", "stop", "count"],
-    "additionalProperties": False,
-}
-
-_PARAMETER_SCHEMAS = {
-    "evolve": {
-        "type": "object",
-        "properties": {
-            "initial": _STATE,
-            "target": _STATE,
-            "energy": {"type": "number", "exclusiveMinimum": 0},
-            "route": {"enum": [r.value for r in Route]},
-            "samples": {"type": "integer", "minimum": 2},
-        },
-        "required": ["initial", "target", "energy"],
-        "additionalProperties": False,
-    },
-    "optimize-coherence": {
-        "type": "object",
-        "properties": {"coherency": _MATRIX2},
-        "required": ["coherency"],
-        "additionalProperties": False,
-    },
-    "mueller": {
-        "type": "object",
-        "properties": {
-            "jones": _MATRIX2,
-            "rotator_angle": {"type": "number"},
-        },
-        "required": ["jones"],
-        "additionalProperties": False,
-    },
-    "interference": {
-        "oneOf": [
-            {
-                "type": "object",
-                "properties": {
-                    "law": {"const": "classical"},
-                    "coherency": _MATRIX2,
-                    "analyzer_angles": _GRID,
-                    "phase_delays": _GRID,
-                },
-                "required": ["law", "coherency", "analyzer_angles", "phase_delays"],
-                "additionalProperties": False,
-            },
-            {
-                "type": "object",
-                "properties": {
-                    "law": {"const": "pancharatnam"},
-                    "intensity_a": {"type": "number", "minimum": 0},
-                    "intensity_b": {"type": "number", "minimum": 0},
-                    "sphere_angles": _GRID,
-                    "phase_advances": _GRID,
-                },
-                "required": [
-                    "law",
-                    "intensity_a",
-                    "intensity_b",
-                    "sphere_angles",
-                    "phase_advances",
-                ],
-                "additionalProperties": False,
-            },
-            {
-                "type": "object",
-                "properties": {
-                    "law": {"const": "quantum"},
-                    "state_a": _STATE,
-                    "state_b": _STATE,
-                    "amp_a": _COMPLEX,
-                    "amp_b_modulus": {"type": "number", "minimum": 0},
-                    "relative_phases": _GRID,
-                },
-                "required": [
-                    "law",
-                    "state_a",
-                    "state_b",
-                    "amp_a",
-                    "amp_b_modulus",
-                    "relative_phases",
-                ],
-                "additionalProperties": False,
-            },
-        ]
-    },
-    "correspondence": {
-        "type": "object",
-        "properties": {
-            "initial": _STATE,
-            "target": _STATE,
-            "energy": {"type": "number", "exclusiveMinimum": 0},
-            "samples": {"type": "integer", "minimum": 2},
-            "coherency": _MATRIX2,
-        },
-        "required": ["initial", "target", "energy", "coherency"],
-        "additionalProperties": False,
-    },
-}
-
-
-def _scenario_schema(kind: str) -> dict:
-    return {
-        "type": "object",
-        "properties": {
-            "kind": {"const": kind},
-            "parameters": _PARAMETER_SCHEMAS[kind],
-            "hbar": {"type": "number", "exclusiveMinimum": 0},
-            "tolerances": {
-                "type": "object",
-                "additionalProperties": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "output": {
-                "type": "object",
-                "properties": {
-                    "path": {"type": "string"},
-                    "format": {"enum": ["json", "csv"]},
-                },
-                "required": ["path"],
-                "additionalProperties": False,
-            },
-        },
-        "required": ["parameters"],
-        "additionalProperties": False,
-    }
-
+# At one config location a wrong type or a missing field is reported before a
+# range violation or an unexpected field, whatever the key order of the file.
+_FIRST_KEYWORDS = ("type", "required")
 
 # Config fields holding angles in radians, converted when --degrees is set.
 _ANGLE_FIELDS = {
@@ -246,9 +102,19 @@ _ANGLE_FIELDS = {
 }
 
 
+@functools.cache
+def _kind_schemas() -> dict:
+    """The per-kind scenario schemas of the packaged schema file, read once."""
+    schema = importlib.resources.files(__package__).joinpath("scenario-config.schema.json")
+    return json.loads(schema.read_text(encoding="utf-8"))["kinds"]
+
+
 def _validate_config(kind: str, config: dict) -> None:
-    validator = Draft202012Validator(_scenario_schema(kind))
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
+    validator = Draft202012Validator(_kind_schemas()[kind])
+    errors = sorted(
+        validator.iter_errors(config),
+        key=lambda e: (list(e.absolute_path), e.validator not in _FIRST_KEYWORDS),
+    )
     if errors:
         first = errors[0]
         where = "/".join(str(p) for p in first.absolute_path) or "<root>"
@@ -386,7 +252,7 @@ def _tolerance(config: dict, key: str, fallback: float) -> float:
     return float(tolerances.get(key, tolerances.get("default", fallback)))
 
 
-def _run_evolve(config: dict, fmt: str, out_path: str, hbar: float, seed: int) -> None:
+def _run_evolve(config: dict, fmt: str, out_path: str, hbar: float) -> None:
     params = config["parameters"]
     initial = _as_state_array(params["initial"])
     target = _as_state_array(params["target"])
@@ -461,18 +327,13 @@ def _run_optimize(config: dict, fmt: str, out_path: str) -> None:
         raise ConfigError("optimize-coherence emits JSON only")
     j = _as_matrix(config["parameters"]["coherency"])
     try:
-        validate_coherency(j)
         solution = optimal_rotation(j)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     ledger = stokes_rotation_check(stokes_from_coherency(j), solution.phi_opt)
 
-    # Self-check before writing: equalized diagonal and coherence at P.
-    rotated = rotate_coherency(j, solution.phi_opt)
-    if abs((rotated[0, 0] - rotated[1, 1]).real) > 1e-9 * max(1.0, abs(np.trace(j))):
-        raise NumericalGateError("rotated frame failed to equalize intensities")
-    if abs(solution.j_after - solution.p) > 1e-9:
-        raise NumericalGateError("coherence did not reach the degree of polarization")
+    # optimal_rotation gates the equalized diagonal and the coherence at P;
+    # this absolute bound on the polarized intensity is tighter than the ledger's.
     if abs(ledger.i_pol_after - ledger.i_pol_before) > 1e-9:
         raise NumericalGateError("polarized intensity not conserved")
 
@@ -494,7 +355,7 @@ def _run_optimize(config: dict, fmt: str, out_path: str) -> None:
                 "s2_sq_before": ledger.s2_sq_before,
                 "s2_sq_after": ledger.s2_sq_after,
             },
-            "rotated_coherency": _matrix_payload(rotated),
+            "rotated_coherency": _matrix_payload(rotate_coherency(j, solution.phi_opt)),
         },
         out_path,
     )
@@ -554,10 +415,6 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
                     )
                 )
         header = "theta,epsilon,intensity,visibility"
-        json_rows = [
-            {"theta": r[0], "epsilon": r[1], "intensity": r[2], "visibility": r[3]}
-            for r in rows
-        ]
     elif law == "pancharatnam":
         i_a, i_b = float(params["intensity_a"]), float(params["intensity_b"])
         rows = []
@@ -571,7 +428,6 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
                     )
                 )
         header = "theta_poincare,delta,intensity"
-        json_rows = [{"theta_poincare": r[0], "delta": r[1], "intensity": r[2]} for r in rows]
     else:
         state_a = _as_state_array(params["state_a"])
         state_b = _as_state_array(params["state_b"])
@@ -588,14 +444,12 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
                 raise NumericalGateError("interference law deviates from direct norm")
             rows.append((float(phase), law_value, direct))
         header = "relative_phase,probability,direct_norm"
-        json_rows = [
-            {"relative_phase": r[0], "probability": r[1], "direct_norm": r[2]}
-            for r in rows
-        ]
 
     if fmt == "csv":
         emit_csv(rows, header, out_path)
     else:
+        keys = header.split(",")
+        json_rows = [dict(zip(keys, r)) for r in rows]
         emit_json({"kind": "interference", "law": law, "rows": json_rows}, out_path)
 
 
@@ -672,7 +526,7 @@ def run(kind: str, config: dict, args: argparse.Namespace) -> int:
         fmt = args.format or output.get("format", "json")
 
         if kind == "evolve":
-            _run_evolve(config, fmt, out_path, hbar, args.seed)
+            _run_evolve(config, fmt, out_path, hbar)
         elif kind == "optimize-coherence":
             _run_optimize(config, fmt, out_path)
         elif kind == "mueller":
@@ -737,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--seed",
             type=int,
-            default=_DEFAULT_SEED,
+            default=_DEFAULT_PROBE_SEED,
             help="seed for classification probes",
         )
     return parser

@@ -285,7 +285,8 @@ def _check_pairing(quantum: QuantumScenario, optical: OpticalScenario) -> None:
             "mismatched scenario pairing: quantum side must be given in the "
             "working basis with initial state (1, 0)"
         )
-    reached = evolve_state(quantum.synthesis.hamiltonian, a, quantum.synthesis.t_min)
+    synthesis = quantum.synthesis
+    reached = evolve_state(synthesis.hamiltonian, a, synthesis.t_min, hbar=synthesis.hbar)
     if abs(abs(overlap(b, reached)) - 1.0) > 1e-8:
         raise ValueError(
             "mismatched scenario pairing: synthesis does not connect the "

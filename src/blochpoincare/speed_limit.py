@@ -105,6 +105,7 @@ class SynthesisResult:
     t_min: float
     delta_e: float
     route: Route
+    hbar: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,7 @@ def synthesize_min_time(a, b, e0: float, hbar: float = 1.0) -> SynthesisResult:
 
     _check_endpoint(h, a, b, t_min, hbar)
     return SynthesisResult(
-        hamiltonian=h, t_min=t_min, delta_e=e0 / 2.0, route=Route.TIME_MINIMIZATION
+        hamiltonian=h, t_min=t_min, delta_e=e0 / 2.0, route=Route.TIME_MINIMIZATION, hbar=hbar
     )
 
 
@@ -215,7 +216,7 @@ def synthesize_max_uncertainty(a, b, e: float, hbar: float = 1.0) -> SynthesisRe
     t_min = hbar * theta / (2.0 * e)
     _check_endpoint(h, a, b, t_min, hbar)
     return SynthesisResult(
-        hamiltonian=h, t_min=t_min, delta_e=e, route=Route.UNCERTAINTY_MAXIMIZATION
+        hamiltonian=h, t_min=t_min, delta_e=e, route=Route.UNCERTAINTY_MAXIMIZATION, hbar=hbar
     )
 
 

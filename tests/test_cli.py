@@ -291,16 +291,48 @@ def test_emit_json_is_sorted_and_deterministic(tmp_path):
     assert json.loads(one)["b"] == 0.1
 
 
-def test_published_schema_matches_live_validators():
+def test_published_schema_is_the_packaged_one():
+    from importlib.resources import files
     from pathlib import Path
 
-    published = json.loads(
-        (Path(__file__).resolve().parents[1] / "schemas" / "scenario-config.schema.json")
-        .read_text(encoding="utf-8")
-    )
+    from jsonschema import Draft202012Validator
+
+    from blochpoincare.speed_limit import Route
+
+    name = "scenario-config.schema.json"
+    published_path = Path(__file__).resolve().parents[1] / "schemas" / name
+    assert published_path.resolve() == Path(str(files("blochpoincare").joinpath(name))).resolve()
+    published = json.loads(published_path.read_text(encoding="utf-8"))
+    Draft202012Validator.check_schema(published)
     assert published["version"] == cli.__version__
-    live = {kind: cli._scenario_schema(kind) for kind in cli.KINDS}
-    assert json.loads(json.dumps(published["kinds"])) == json.loads(json.dumps(live))
+    assert sorted(published["kinds"]) == sorted(cli.KINDS)
+    evolve = published["kinds"]["evolve"]["properties"]["parameters"]["properties"]
+    assert evolve["route"]["enum"] == [r.value for r in Route]
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"params": {}}, "config field '<root>': 'parameters' is a required property"),
+        (
+            {"parameters": dict(EVOLVE_CONFIG["parameters"], samples=1.5)},
+            "config field 'parameters/samples': 1.5 is not of type 'integer'",
+        ),
+    ],
+)
+def test_type_and_required_errors_are_reported_first(tmp_path, capsys, config, message):
+    path = write_config(tmp_path, config)
+    assert cli.main(["evolve", "--config", str(path), "--output", "-"]) == cli.EXIT_SCHEMA
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+def test_correspondence_with_hbar_two(tmp_path):
+    config = write_config(tmp_path, dict(CORRESPONDENCE_CONFIG, hbar=2.0))
+    out = tmp_path / "out.json"
+    assert cli.main(["correspondence", "--config", str(config), "--output", str(out)]) == cli.EXIT_OK
+    data = json.loads(out.read_text())
+    assert data["report"]["all_passed"] is True
+    assert data["t_min"] == pytest.approx(np.pi)
 
 
 def test_hbar_flag_scales_time(tmp_path):
