@@ -48,7 +48,7 @@ from .mueller import (
     mueller_rotator,
     wigner_rotation,
 )
-from .numerics import grid_search_max, matrix_exponential_su2, time_average_quadrature
+from .numerics import matrix_exponential_su2
 from .polarization import (
     FieldAmplitudes,
     PolarizationReport,

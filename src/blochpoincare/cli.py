@@ -102,11 +102,27 @@ _ANGLE_FIELDS = {
 }
 
 
+def _inline_refs(node, defs: dict):
+    """``node`` with every ``{"$ref": "#/$defs/<name>"}`` replaced by that definition."""
+    if isinstance(node, dict):
+        if "$ref" in node:
+            return _inline_refs(defs[node["$ref"].removeprefix("#/$defs/")], defs)
+        return {key: _inline_refs(value, defs) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_inline_refs(value, defs) for value in node]
+    return node
+
+
 @functools.cache
 def _kind_schemas() -> dict:
-    """The per-kind scenario schemas of the packaged schema file, read once."""
+    """The per-kind scenario schemas of the packaged schema file, read once.
+
+    The shared shapes are inlined here, once per process, so the validator
+    built for each scenario never resolves a reference.
+    """
     schema = importlib.resources.files(__package__).joinpath("scenario-config.schema.json")
-    return json.loads(schema.read_text(encoding="utf-8"))["kinds"]
+    root = json.loads(schema.read_text(encoding="utf-8"))
+    return _inline_refs(root["kinds"], root["$defs"])
 
 
 def _validate_config(kind: str, config: dict) -> None:
@@ -247,9 +263,12 @@ def _matrix_payload(m: np.ndarray) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _tolerance(config: dict, key: str, fallback: float) -> float:
+def _gate_endpoint_fidelity(config: dict, value: float) -> None:
+    """Fail when the endpoint fidelity ``value`` is below 1 minus the config's gate."""
     tolerances = config.get("tolerances", {})
-    return float(tolerances.get(key, tolerances.get("default", fallback)))
+    gate = float(tolerances.get("endpoint_fidelity", tolerances.get("default", 1e-9)))
+    if value < 1.0 - gate:
+        raise NumericalGateError(f"endpoint fidelity {value!r} below gate 1 - {gate!r}")
 
 
 def _run_evolve(config: dict, fmt: str, out_path: str, hbar: float) -> None:
@@ -290,11 +309,7 @@ def _run_evolve(config: dict, fmt: str, out_path: str, hbar: float) -> None:
                 fidelity(target, state),
             )
         )
-    gate = _tolerance(config, "endpoint_fidelity", 1e-9)
-    if records[-1][-1] < 1.0 - gate:
-        raise NumericalGateError(
-            f"endpoint fidelity {records[-1][-1]!r} below gate 1 - {gate!r}"
-        )
+    _gate_endpoint_fidelity(config, records[-1][-1])
     if any(curr[0] <= prev[0] for prev, curr in zip(records, records[1:])):
         raise NumericalGateError("trajectory times are not strictly increasing")
 
@@ -366,8 +381,11 @@ def _run_mueller(config: dict, fmt: str, out_path: str, seed: int) -> None:
         raise ConfigError("mueller emits JSON only")
     params = config["parameters"]
     jones = _as_matrix(params["jones"])
-    lifted = mueller_from_jones(jones)
-    classification = classify_mueller(lifted, seed=seed)
+    try:
+        lifted = mueller_from_jones(jones)
+        classification = classify_mueller(lifted, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"config field 'parameters/jones': {exc}") from exc
 
     payload = {
         "kind": "mueller",
@@ -402,18 +420,12 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
             raise ConfigError(str(exc)) from exc
         rows = []
         for theta in _grid_values(params["analyzer_angles"]):
+            visibility = fringe_visibility(j, float(theta))
             for eps in _grid_values(params["phase_delays"]):
                 intensity = classical_intensity(j, float(theta), float(eps))
                 if intensity < -1e-12:
                     raise NumericalGateError("negative intensity in classical sweep")
-                rows.append(
-                    (
-                        float(theta),
-                        float(eps),
-                        intensity,
-                        fringe_visibility(j, float(theta)),
-                    )
-                )
+                rows.append((float(theta), float(eps), intensity, visibility))
         header = "theta,epsilon,intensity,visibility"
     elif law == "pancharatnam":
         i_a, i_b = float(params["intensity_a"]), float(params["intensity_b"])
@@ -433,6 +445,14 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
         state_b = _as_state_array(params["state_b"])
         amp_a = _as_complex(params["amp_a"])
         modulus = float(params["amp_b_modulus"])
+        # Every probability in the sweep is at most (|amp_a| + amp_b_modulus)**2;
+        # the factor 2 leaves headroom for rounding.
+        peak = abs(amp_a) + modulus
+        if not np.isfinite(2.0 * peak * peak):
+            raise ConfigError(
+                "config fields 'parameters/amp_a' and 'parameters/amp_b_modulus': "
+                f"|amp_a| + amp_b_modulus = {peak!r} overflows the probability"
+            )
         rows = []
         for phase in _grid_values(params["relative_phases"]):
             amp_b = modulus * np.exp(1j * float(phase))
@@ -493,10 +513,7 @@ def _run_correspondence(config: dict, fmt: str, out_path: str, hbar: float) -> N
         "report": report.as_dict(),
     }
     emit_json(payload, out_path)
-    gate = _tolerance(config, "endpoint_fidelity", 1e-9)
-    last = fidelity(target, trajectory[-1])
-    if last < 1.0 - gate:
-        raise NumericalGateError(f"endpoint fidelity {last!r} below gate")
+    _gate_endpoint_fidelity(config, fidelity(target, trajectory[-1]))
     if not report.all_passed:
         raise NumericalGateError("correspondence report has failing rows")
 

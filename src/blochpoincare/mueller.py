@@ -69,9 +69,9 @@ def mueller_from_jones(jones: np.ndarray, imag_tol: float = 1e-12) -> np.ndarray
     jones : array_like
         Complex 2x2 transmission matrix acting on the field components.
     imag_tol : float
-        Ceiling on the imaginary residue of the lifted matrix. The algebra
-        guarantees a real result; anything above rounding noise indicates an
-        internal inconsistency and raises.
+        Ceiling on the imaginary residue of the lifted matrix, relative to
+        its largest entry. The algebra guarantees a real result; anything
+        above rounding noise indicates an internal inconsistency and raises.
 
     Returns
     -------
@@ -83,11 +83,15 @@ def mueller_from_jones(jones: np.ndarray, imag_tol: float = 1e-12) -> np.ndarray
         raise ValueError(f"expected a 2x2 Jones matrix, got shape {j.shape}")
     if not np.all(np.isfinite(j)):
         raise ValueError("Jones entries must be finite")
-    lifted = A_MATRIX @ np.kron(j, j.conj()) @ A_MATRIX_INVERSE
+    with np.errstate(over="ignore", invalid="ignore"):
+        lifted = A_MATRIX @ np.kron(j, j.conj()) @ A_MATRIX_INVERSE
+    if not np.all(np.isfinite(lifted)):
+        raise ValueError("Mueller lift overflows: Jones entries too large")
     residue = float(np.max(np.abs(lifted.imag)))
-    if residue > imag_tol:
+    if residue > imag_tol * float(np.max(np.abs(lifted))):
         raise RuntimeError(
-            f"Mueller lift produced imaginary residue {residue:.3e} > {imag_tol:.1e}"
+            f"Mueller lift produced imaginary residue {residue:.3e} > {imag_tol:.1e} "
+            "relative to its largest entry"
         )
     return np.ascontiguousarray(lifted.real)
 
@@ -146,11 +150,18 @@ def classify_mueller(
     Sends ``probes`` seeded fully polarized Stokes vectors through ``m``.
     If every image is a valid Stokes vector and stays fully polarized
     (within 1e-8), the matrix is nondepolarizing; a valid image with reduced
-    polarization makes it depolarizing; an invalid image raises.
+    polarization makes it depolarizing; an invalid image raises. The probes
+    go through ``m`` divided by its largest entry, so the verdict does not
+    depend on the scale of ``m``.
     """
     mat = np.asarray(m, dtype=float)
     if mat.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
+    # Scaling by a positive factor leaves the verdict unchanged; at unit scale
+    # the absolute bound of validate_stokes sits at the rounding level of m.
+    scale = float(np.max(np.abs(mat)))
+    if scale > 0.0:
+        mat = mat / scale
     rng = np.random.default_rng(seed)
     depolarizes = False
     for _ in range(probes):

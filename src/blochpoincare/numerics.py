@@ -1,13 +1,13 @@
 """Small fixed-size numerical kernels shared by the physics modules.
 
-Closed-form SU(2) exponentials, a deterministic 1-D grid maximizer, and a
-trapezoid time average over one period. Everything is pure: no global state,
-no randomness, bit-stable results for identical inputs.
+Pauli matrices, the Hermiticity test and the closed-form SU(2) exponential.
+Everything is pure: no global state, no randomness, bit-stable results for
+identical inputs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -15,8 +15,6 @@ IDENTITY2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0  # golden-section step ratio
 
 
 def is_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> bool:
@@ -60,70 +58,3 @@ def matrix_exponential_su2(
         return phase * IDENTITY2
     axis_dot_sigma = (ax * PAULI_X + ay * PAULI_Y + az * PAULI_Z) / norm
     return phase * (np.cos(angle) * IDENTITY2 - 1j * np.sin(angle) * axis_dot_sigma)
-
-
-def grid_search_max(
-    f: Callable[[float], float], lower: float, upper: float, n: int
-) -> Tuple[float, float]:
-    """Deterministic maximizer of a scalar function on [lower, upper].
-
-    Evaluates an n-point uniform grid, then runs one golden-section
-    refinement on the bracketing interval around the grid winner. Returns
-    ``(argmax, max)``. No randomness, so repeated calls are bit-identical.
-    """
-    if n < 2:
-        raise ValueError("need at least 2 grid points")
-    if not lower < upper:
-        raise ValueError("need lower < upper")
-    xs = np.linspace(lower, upper, n)
-    values = []
-    for x in xs:
-        v = float(f(float(x)))
-        if not np.isfinite(v):
-            raise ValueError(f"non-finite objective value {v!r} at x={float(x)!r}")
-        values.append(v)
-    best = int(np.argmax(values))
-    best_x, best_v = float(xs[best]), values[best]
-
-    # Golden-section pass over the bracket [x_{i-1}, x_{i+1}].
-    a = float(xs[max(best - 1, 0)])
-    b = float(xs[min(best + 1, n - 1)])
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = float(f(x1)), float(f(x2))
-    for _ in range(200):
-        if b - a <= 1e-13 * (1.0 + abs(a) + abs(b)):
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = float(f(x2))
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = float(f(x1))
-    x_mid = 0.5 * (a + b)
-    v_mid = float(f(x_mid))
-    if not np.isfinite(v_mid):
-        raise ValueError(f"non-finite objective value {v_mid!r} at x={x_mid!r}")
-    if v_mid >= best_v:
-        return x_mid, v_mid
-    return best_x, best_v
-
-
-def time_average_quadrature(f: Callable[[float], float], period: float, n: int) -> float:
-    """(1/T) * integral of f over one period, by the composite trapezoid rule.
-
-    For smooth periodic integrands the trapezoid rule on a full period is
-    extremely accurate; n is the number of subdivisions (>= 4).
-    """
-    if period <= 0.0:
-        raise ValueError("period must be positive")
-    if n < 4:
-        raise ValueError("need at least 4 subdivisions")
-    ts = np.linspace(0.0, period, n + 1)
-    samples = np.array([float(f(float(t))) for t in ts])
-    if not np.all(np.isfinite(samples)):
-        bad = int(np.flatnonzero(~np.isfinite(samples))[0])
-        raise ValueError(f"non-finite sample at t={float(ts[bad])!r}")
-    return float(np.trapezoid(samples, ts) / period)

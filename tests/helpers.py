@@ -1,11 +1,51 @@
 """Shared generators and independent oracles for the test suite.
 
 Oracles here deliberately avoid the library code paths they are used to
-check: the matrix exponential is a scaled-and-squared Taylor series, and
-coherency rotations are spelled out entrywise.
+check: the matrix exponential is a scaled-and-squared Taylor series,
+coherency rotations are spelled out entrywise, maxima come from a grid search
+with golden-section refinement, and period averages from the trapezoid rule.
 """
 
+import copy
+from typing import Callable, Tuple
+
 import numpy as np
+
+
+# Replacement values and added keys for mutated configs: wrong types, values
+# at and past the schema's bounds, and near misses of real field names.
+_JUNK_VALUES = (None, True, "x", 0, -1, 1.5, 1e-30, [], [1.0, 2.0, 3.0], {}, {"start": 0.0})
+_JUNK_KEYS = ("extra", "hbar", "tolerances", "endpoint_fidelty", "default", "law", "count")
+
+
+def _containers(node):
+    if isinstance(node, (dict, list)):
+        yield node
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _containers(child)
+
+
+def mutate_config(rng, config, max_edits=3):
+    """Copy of ``config`` with 1 to ``max_edits`` seeded edits anywhere in it.
+
+    Each edit replaces a value, drops a key or item, or adds a key or item.
+    """
+    config = copy.deepcopy(config)
+    for _ in range(rng.integers(1, max_edits + 1)):
+        containers = list(_containers(config))
+        node = containers[rng.integers(len(containers))]
+        slots = list(node) if isinstance(node, dict) else list(range(len(node)))
+        junk = copy.deepcopy(_JUNK_VALUES[rng.integers(len(_JUNK_VALUES))])
+        action = rng.integers(3)
+        if action == 0 and slots:
+            node[slots[rng.integers(len(slots))]] = junk
+        elif action == 1 and slots:
+            del node[slots[rng.integers(len(slots))]]
+        elif isinstance(node, dict):
+            node[_JUNK_KEYS[rng.integers(len(_JUNK_KEYS))]] = junk
+        else:
+            node.append(junk)
+    return config
 
 
 def random_state(rng):
@@ -151,3 +191,73 @@ def coherence_vs_rotation(j, phis):
     off = 0.5 * np.sqrt(s2r**2 + s3**2)
     denom = np.sqrt((s0 + s1r) * (s0 - s1r)) / 2.0
     return off / denom
+
+
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0  # golden-section step ratio
+
+
+def grid_search_max(
+    f: Callable[[float], float], lower: float, upper: float, n: int
+) -> Tuple[float, float]:
+    """Deterministic maximizer of a scalar function on [lower, upper].
+
+    Evaluates an n-point uniform grid, then runs one golden-section
+    refinement on the bracketing interval around the grid winner. Returns
+    ``(argmax, max)``. No randomness, so repeated calls are bit-identical.
+    """
+    if n < 2:
+        raise ValueError("need at least 2 grid points")
+    if not lower < upper:
+        raise ValueError("need lower < upper")
+    xs = np.linspace(lower, upper, n)
+    values = []
+    for x in xs:
+        v = float(f(float(x)))
+        if not np.isfinite(v):
+            raise ValueError(f"non-finite objective value {v!r} at x={float(x)!r}")
+        values.append(v)
+    best = int(np.argmax(values))
+    best_x, best_v = float(xs[best]), values[best]
+
+    # Golden-section pass over the bracket [x_{i-1}, x_{i+1}].
+    a = float(xs[max(best - 1, 0)])
+    b = float(xs[min(best + 1, n - 1)])
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1, f2 = float(f(x1)), float(f(x2))
+    for _ in range(200):
+        if b - a <= 1e-13 * (1.0 + abs(a) + abs(b)):
+            break
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INVPHI * (b - a)
+            f2 = float(f(x2))
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INVPHI * (b - a)
+            f1 = float(f(x1))
+    x_mid = 0.5 * (a + b)
+    v_mid = float(f(x_mid))
+    if not np.isfinite(v_mid):
+        raise ValueError(f"non-finite objective value {v_mid!r} at x={x_mid!r}")
+    if v_mid >= best_v:
+        return x_mid, v_mid
+    return best_x, best_v
+
+
+def time_average_quadrature(f: Callable[[float], float], period: float, n: int) -> float:
+    """(1/T) * integral of f over one period, by the composite trapezoid rule.
+
+    For smooth periodic integrands the trapezoid rule on a full period is
+    extremely accurate; n is the number of subdivisions (>= 4).
+    """
+    if period <= 0.0:
+        raise ValueError("period must be positive")
+    if n < 4:
+        raise ValueError("need at least 4 subdivisions")
+    ts = np.linspace(0.0, period, n + 1)
+    samples = np.array([float(f(float(t))) for t in ts])
+    if not np.all(np.isfinite(samples)):
+        bad = int(np.flatnonzero(~np.isfinite(samples))[0])
+        raise ValueError(f"non-finite sample at t={float(ts[bad])!r}")
+    return float(np.trapezoid(samples, ts) / period)

@@ -1,9 +1,11 @@
 import json
+from importlib.resources import files
 
 import numpy as np
 import pytest
 
 from blochpoincare import cli
+from helpers import mutate_config
 
 HALF = 1.0 / np.sqrt(2.0)
 
@@ -154,6 +156,13 @@ def test_numerical_gate_failure_exit(tmp_path, monkeypatch):
     assert code == cli.EXIT_NUMERIC
     assert not out.exists()
 
+    # correspondence writes its report, the diagnostic, before it gates
+    config = write_config(tmp_path, CORRESPONDENCE_CONFIG)
+    report = tmp_path / "report.json"
+    code = cli.main(["correspondence", "--config", str(config), "--output", str(report)])
+    assert code == cli.EXIT_NUMERIC
+    assert json.loads(report.read_text())["kind"] == "correspondence"
+
 
 def test_mueller_scenario_output(tmp_path):
     payload = {
@@ -187,6 +196,46 @@ def test_mueller_depolarizer_classification(tmp_path):
     data = json.loads(out.read_text())
     assert data["classification"] == "nondepolarizing"
     assert np.array(data["mueller_from_jones"])[0][0] == pytest.approx(0.5)
+
+
+# A generic non-unitary Jones matrix; its lift has an imaginary rounding
+# residue that grows with the square of the scale.
+JONES = [[[0.3, 0.0], [0.2, -0.5]], [[-0.7, 0.1], [0.9, 0.0]]]
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e50, 1e100])
+def test_mueller_classification_is_scale_free(tmp_path, scale):
+    config = write_config(tmp_path, {"parameters": {"jones": (np.array(JONES) * scale).tolist()}})
+    out = tmp_path / "mueller.json"
+    assert cli.main(["mueller", "--config", str(config), "--output", str(out)]) == cli.EXIT_OK
+    assert json.loads(out.read_text())["classification"] == "nondepolarizing"
+
+
+def test_overflowing_jones_is_a_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, {"parameters": {"jones": [[1e308, 0.0], [0.0, 1e308]]}})
+    out = tmp_path / "mueller.json"
+    assert cli.main(["mueller", "--config", str(config), "--output", str(out)]) == cli.EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith("error: config field 'parameters/jones': ")
+    assert not out.exists()
+
+
+def test_overflowing_quantum_amplitudes_are_a_config_error(tmp_path, capsys):
+    payload = {
+        "parameters": {
+            "law": "quantum",
+            "state_a": [[1.0, 0.0], [0.0, 0.0]],
+            "state_b": [[HALF, 0.0], [HALF, 0.0]],
+            "amp_a": 1e200,
+            "amp_b_modulus": 1e200,
+            "relative_phases": {"start": 0.0, "stop": np.pi, "count": 3},
+        }
+    }
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "quantum.json"
+    assert cli.main(["interference", "--config", str(config), "--output", str(out)]) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "'parameters/amp_a'" in err and "'parameters/amp_b_modulus'" in err
+    assert not out.exists()
 
 
 def test_interference_classical_sweep_csv(tmp_path):
@@ -344,3 +393,138 @@ def test_hbar_flag_scales_time(tmp_path):
     )
     data = json.loads(out.read_text())
     assert data["t_min"] == pytest.approx(np.pi)
+
+
+@pytest.mark.parametrize(
+    "kind, config, message",
+    [
+        (
+            "evolve",
+            dict(EVOLVE_CONFIG, tolerances={"endpoint_fidelty": 1e-30}),
+            "config field 'tolerances': Additional properties are not allowed "
+            "('endpoint_fidelty' was unexpected)",
+        ),
+        (
+            "optimize-coherence",
+            dict(OPTIMIZE_CONFIG, hbar=2.0),
+            "config field '<root>': Additional properties are not allowed "
+            "('hbar' was unexpected)",
+        ),
+    ],
+)
+def test_fields_no_runner_reads_are_rejected(tmp_path, capsys, kind, config, message):
+    path = write_config(tmp_path, config)
+    assert cli.main([kind, "--config", str(path), "--output", "-"]) == cli.EXIT_SCHEMA
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+def _packaged_schema():
+    return json.loads(
+        files("blochpoincare").joinpath("scenario-config.schema.json").read_text(encoding="utf-8")
+    )
+
+
+def test_schema_shapes_are_defined_once():
+    root = _packaged_schema()
+    defs = root["$defs"]
+    shapes = list(defs.values()) + [cli._inline_refs(shape, defs) for shape in defs.values()]
+    referenced = set()
+
+    def walk(node):
+        assert node not in shapes, f"a $defs shape is spelled out: {node}"
+        if isinstance(node, dict):
+            if "$ref" in node:
+                referenced.add(node["$ref"].removeprefix("#/$defs/"))
+            for child in node.values():
+                walk(child)
+        elif isinstance(node, list):
+            for child in node:
+                walk(child)
+
+    walk(root["kinds"])
+    for shape in defs.values():
+        for child in shape.values():
+            walk(child)
+    assert referenced == set(defs)
+
+
+# Valid configs per kind, covering every optional field, for the mutations.
+VALID_CONFIGS = {
+    "evolve": [
+        dict(
+            EVOLVE_CONFIG,
+            kind="evolve",
+            hbar=1.5,
+            tolerances={"default": 1e-9, "endpoint_fidelity": 1e-8},
+            output={"path": "out.csv", "format": "csv"},
+            parameters=dict(EVOLVE_CONFIG["parameters"], route="uncertainty_maximization"),
+        )
+    ],
+    "optimize-coherence": [
+        dict(OPTIMIZE_CONFIG, kind="optimize-coherence", output={"path": "out.json"})
+    ],
+    "mueller": [{"kind": "mueller", "parameters": {"jones": JONES, "rotator_angle": 0.3}}],
+    "interference": [
+        {
+            "parameters": {
+                "law": "classical",
+                "coherency": [[3.0, [1.0, 0.5]], [[1.0, -0.5], 1.0]],
+                "analyzer_angles": {"start": 0.0, "stop": 1.0, "count": 3},
+                "phase_delays": {"start": 0.0, "stop": 1.0, "count": 2},
+            }
+        },
+        {
+            "parameters": {
+                "law": "pancharatnam",
+                "intensity_a": 1.0,
+                "intensity_b": 2.0,
+                "sphere_angles": {"start": 0.0, "stop": 1.0, "count": 3},
+                "phase_advances": {"start": 0.0, "stop": 1.0, "count": 2},
+            }
+        },
+        {
+            "parameters": {
+                "law": "quantum",
+                "state_a": [[1.0, 0.0], [0.0, 0.0]],
+                "state_b": [HALF, [0.0, HALF]],
+                "amp_a": [HALF, 0.0],
+                "amp_b_modulus": HALF,
+                "relative_phases": {"start": 0.0, "stop": 1.0, "count": 3},
+            }
+        },
+    ],
+    "correspondence": [
+        dict(
+            CORRESPONDENCE_CONFIG,
+            hbar=2.0,
+            tolerances={"endpoint_fidelity": 1e-9},
+            parameters=dict(CORRESPONDENCE_CONFIG["parameters"], samples=11),
+        )
+    ],
+}
+
+
+def _first_error(kind, config):
+    try:
+        cli._validate_config(kind, config)
+    except cli.ConfigError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_inlined_schema_reports_the_first_error_of_ref_resolution(monkeypatch, kind):
+    # Cross-oracle for the inlining in cli._kind_schemas: jsonschema resolves
+    # the same $refs itself when the kind is referenced from the root schema.
+    root = _packaged_schema()
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    bases = VALID_CONFIGS[kind]
+    configs = [mutate_config(rng, bases[rng.integers(len(bases))]) for _ in range(300)]
+    inlined = [_first_error(kind, config) for config in configs]
+    monkeypatch.setattr(
+        cli, "_kind_schemas", lambda: {k: {**root, "$ref": f"#/kinds/{k}"} for k in cli.KINDS}
+    )
+    resolved = [_first_error(kind, config) for config in configs]
+    assert inlined == resolved
+    assert sum(error is not None for error in inlined) > len(configs) // 2
+    assert all(_first_error(kind, base) is None for base in bases)

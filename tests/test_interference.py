@@ -8,9 +8,8 @@ from blochpoincare.interference import (
     pancharatnam_intensity,
     quantum_probability,
 )
-from blochpoincare.numerics import time_average_quadrature
 from blochpoincare.polarization import degree_of_polarization, rotate_coherency
-from helpers import random_coherency, random_state
+from helpers import random_coherency, random_state, time_average_quadrature
 
 J_WORKED = np.array([[3.0, 1.0], [1.0, 1.0]], dtype=complex)
 HALF = 1.0 / np.sqrt(2.0)

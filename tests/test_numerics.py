@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from blochpoincare.numerics import (
-    PAULI_Y,
-    PAULI_Z,
+from blochpoincare.numerics import PAULI_Y, PAULI_Z, matrix_exponential_su2
+from helpers import (
+    coherence_magnitude,
+    conjugate_coherency,
     grid_search_max,
-    matrix_exponential_su2,
+    random_su2,
+    series_expm,
     time_average_quadrature,
 )
-from helpers import coherence_magnitude, conjugate_coherency, random_su2, series_expm
 
 
 def test_exponential_of_zero_is_identity():

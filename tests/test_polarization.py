@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from blochpoincare.bloch import states_equal_up_to_phase
-from blochpoincare.numerics import time_average_quadrature
 from blochpoincare.polarization import (
     FieldAmplitudes,
     coherency_from_stokes,
@@ -20,7 +19,12 @@ from blochpoincare.polarization import (
     verify_ellipse_point,
     wiener_decompose,
 )
-from helpers import coherence_magnitude, conjugate_coherency, random_coherency
+from helpers import (
+    coherence_magnitude,
+    conjugate_coherency,
+    random_coherency,
+    time_average_quadrature,
+)
 
 J_WORKED = np.array([[3.0, 1.0], [1.0, 1.0]], dtype=complex)
 
