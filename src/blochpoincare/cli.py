@@ -67,6 +67,8 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 KINDS = ("evolve", "optimize-coherence", "mueller", "interference", "correspondence")
+# The kinds whose runners read hbar and the endpoint-fidelity tolerances.
+_HBAR_KINDS = ("evolve", "correspondence")
 
 TRAJECTORY_HEADER = "t,re_c0,im_c0,re_c1,im_c1,bx,by,bz,fidelity"
 
@@ -102,27 +104,11 @@ _ANGLE_FIELDS = {
 }
 
 
-def _inline_refs(node, defs: dict):
-    """``node`` with every ``{"$ref": "#/$defs/<name>"}`` replaced by that definition."""
-    if isinstance(node, dict):
-        if "$ref" in node:
-            return _inline_refs(defs[node["$ref"].removeprefix("#/$defs/")], defs)
-        return {key: _inline_refs(value, defs) for key, value in node.items()}
-    if isinstance(node, list):
-        return [_inline_refs(value, defs) for value in node]
-    return node
-
-
 @functools.cache
 def _kind_schemas() -> dict:
-    """The per-kind scenario schemas of the packaged schema file, read once.
-
-    The shared shapes are inlined here, once per process, so the validator
-    built for each scenario never resolves a reference.
-    """
+    """The per-kind scenario schemas of the packaged schema file, read once."""
     schema = importlib.resources.files(__package__).joinpath("scenario-config.schema.json")
-    root = json.loads(schema.read_text(encoding="utf-8"))
-    return _inline_refs(root["kinds"], root["$defs"])
+    return json.loads(schema.read_text(encoding="utf-8"))["kinds"]
 
 
 def _validate_config(kind: str, config: dict) -> None:
@@ -445,13 +431,15 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
         state_b = _as_state_array(params["state_b"])
         amp_a = _as_complex(params["amp_a"])
         modulus = float(params["amp_b_modulus"])
-        # Every probability in the sweep is at most (|amp_a| + amp_b_modulus)**2;
+        # Every probability in the sweep is at most (|amp_a| + amp_b_modulus)**2,
+        # and quantum_probability forms |amp_a|**2 * amp_b_modulus**2 on the way;
         # the factor 2 leaves headroom for rounding.
-        peak = abs(amp_a) + modulus
-        if not np.isfinite(2.0 * peak * peak):
+        peak, product = abs(amp_a) + modulus, abs(amp_a) * modulus
+        if not (np.isfinite(2.0 * peak * peak) and np.isfinite(2.0 * product * product)):
             raise ConfigError(
                 "config fields 'parameters/amp_a' and 'parameters/amp_b_modulus': "
-                f"|amp_a| + amp_b_modulus = {peak!r} overflows the probability"
+                f"|amp_a| = {abs(amp_a)!r} and amp_b_modulus = {modulus!r} "
+                "overflow the probability"
             )
         rows = []
         for phase in _grid_values(params["relative_phases"]):
@@ -530,13 +518,14 @@ def run(kind: str, config: dict, args: argparse.Namespace) -> int:
         if args.degrees:
             params = _convert_degrees(kind, params)
             config = dict(config, parameters=params)
-        if args.tolerance is not None:
-            tolerances = dict(config.get("tolerances", {}))
-            tolerances["default"] = args.tolerance
-            config = dict(config, tolerances=tolerances)
-        hbar = float(args.hbar if args.hbar is not None else config.get("hbar", 1.0))
-        if hbar <= 0.0:
-            raise ConfigError("hbar must be positive")
+        if kind in _HBAR_KINDS:
+            if args.tolerance is not None:
+                tolerances = dict(config.get("tolerances", {}))
+                tolerances["default"] = args.tolerance
+                config = dict(config, tolerances=tolerances)
+            hbar = float(args.hbar if args.hbar is not None else config.get("hbar", 1.0))
+            if hbar <= 0.0:
+                raise ConfigError("hbar must be positive")
 
         output = config.get("output", {})
         out_path = args.output or output.get("path", "-")
@@ -596,10 +585,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", required=True, help="JSON config path, or - for stdin")
         sub.add_argument("--output", help="output path, or - for stdout")
         sub.add_argument("--format", choices=["json", "csv"], help="output format")
-        sub.add_argument("--hbar", type=float, help="value of hbar (default 1)")
-        sub.add_argument(
-            "--tolerance", type=float, help="default tolerance for numerical gates"
-        )
+        if kind in _HBAR_KINDS:
+            sub.add_argument("--hbar", type=float, help="value of hbar (default 1)")
+            sub.add_argument(
+                "--tolerance", type=float, help="default tolerance for numerical gates"
+            )
         sub.add_argument(
             "--degrees",
             action="store_true",

@@ -6,46 +6,9 @@ coherency rotations are spelled out entrywise, maxima come from a grid search
 with golden-section refinement, and period averages from the trapezoid rule.
 """
 
-import copy
 from typing import Callable, Tuple
 
 import numpy as np
-
-
-# Replacement values and added keys for mutated configs: wrong types, values
-# at and past the schema's bounds, and near misses of real field names.
-_JUNK_VALUES = (None, True, "x", 0, -1, 1.5, 1e-30, [], [1.0, 2.0, 3.0], {}, {"start": 0.0})
-_JUNK_KEYS = ("extra", "hbar", "tolerances", "endpoint_fidelty", "default", "law", "count")
-
-
-def _containers(node):
-    if isinstance(node, (dict, list)):
-        yield node
-        for child in node.values() if isinstance(node, dict) else node:
-            yield from _containers(child)
-
-
-def mutate_config(rng, config, max_edits=3):
-    """Copy of ``config`` with 1 to ``max_edits`` seeded edits anywhere in it.
-
-    Each edit replaces a value, drops a key or item, or adds a key or item.
-    """
-    config = copy.deepcopy(config)
-    for _ in range(rng.integers(1, max_edits + 1)):
-        containers = list(_containers(config))
-        node = containers[rng.integers(len(containers))]
-        slots = list(node) if isinstance(node, dict) else list(range(len(node)))
-        junk = copy.deepcopy(_JUNK_VALUES[rng.integers(len(_JUNK_VALUES))])
-        action = rng.integers(3)
-        if action == 0 and slots:
-            node[slots[rng.integers(len(slots))]] = junk
-        elif action == 1 and slots:
-            del node[slots[rng.integers(len(slots))]]
-        elif isinstance(node, dict):
-            node[_JUNK_KEYS[rng.integers(len(_JUNK_KEYS))]] = junk
-        else:
-            node.append(junk)
-    return config
 
 
 def random_state(rng):
