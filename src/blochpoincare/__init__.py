@@ -13,6 +13,8 @@ from .bloch import (
     BlochAngles,
     angles_from_state,
     bloch_vector,
+    bloch_vectors,
+    fidelities,
     fidelity,
     fubini_study_angle,
     orthogonal_state,
@@ -48,7 +50,7 @@ from .mueller import (
     mueller_rotator,
     wigner_rotation,
 )
-from .numerics import matrix_exponential_su2
+from .numerics import matrix_exponential_su2, su2_propagators
 from .polarization import (
     FieldAmplitudes,
     PolarizationReport,
@@ -74,6 +76,7 @@ from .speed_limit import (
     efficiency,
     energy_uncertainty,
     evolve_state,
+    evolve_states,
     evolution_operator,
     geodesic_state,
     synthesize_max_uncertainty,

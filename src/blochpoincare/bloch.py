@@ -1,11 +1,13 @@
 """Pure-state qubit geometry: sphere angles, unit vectors, and distances.
 
-States are plain complex ndarrays of shape (2,). Global phase is physically
-irrelevant; comparisons between states go through the up-to-phase helpers.
+States are plain complex ndarrays of shape (2,), stacked as (N, 2) for the
+batched kernels. Global phase is physically irrelevant; comparisons between
+states go through the up-to-phase helpers.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -18,6 +20,11 @@ class BlochAngles(NamedTuple):
 
     theta: float
     phi: float
+
+
+def _squares(values: np.ndarray) -> list:
+    # libm pow, as a Python or numpy scalar squares; array squaring rounds differently.
+    return [math.pow(x, 2.0) for x in values.tolist()]
 
 
 def as_state(vec) -> np.ndarray:
@@ -45,8 +52,14 @@ def overlap(a, b) -> complex:
     return complex(np.vdot(as_state(a), as_state(b)))
 
 
+def fidelities(a, states) -> np.ndarray:
+    """|<a|s>|^2 for each row s of ``states``, shape (N, 2) -> (N,)."""
+    inner = np.vecdot(as_state(a), np.asarray(states, dtype=complex).reshape(-1, 2))
+    return np.array(_squares(np.hypot(inner.real, inner.imag)))
+
+
 def fidelity(a, b) -> float:
-    """|<a|b>|^2 for normalized states."""
+    """|<a|b>|^2 for normalized states; ``fidelities`` is the batched form."""
     return abs(overlap(a, b)) ** 2
 
 
@@ -84,15 +97,27 @@ def angles_from_state(state) -> BlochAngles:
     return BlochAngles(float(theta), phi)
 
 
+def bloch_vectors(states) -> np.ndarray:
+    """Bloch vectors of the rows of ``states``, shape (N, 2) -> (N, 3).
+
+    The rows are taken as normalized; ``bloch_vector`` checks one state.
+    """
+    s = np.asarray(states, dtype=complex).reshape(-1, 2)
+    re0, im0, re1, im1 = s[:, 0].real, s[:, 0].imag, s[:, 1].real, s[:, 1].imag
+    # conj(c0) * c1 from its parts: numpy's array complex multiply rounds
+    # differently from its scalar one.
+    cross_re = re0 * re1 + im0 * im1
+    cross_im = re0 * im1 - im0 * re1
+    bz = np.subtract(_squares(np.hypot(re0, im0)), _squares(np.hypot(re1, im1)))
+    return np.stack((2.0 * cross_re, 2.0 * cross_im, bz), axis=-1)
+
+
 def bloch_vector(state) -> np.ndarray:
     """Unit 3-vector of Pauli expectation values (sin t cos p, sin t sin p, cos t)."""
     s = as_state(state)
     if not is_normalized(s):
         raise ValueError("state must be normalized")
-    cross = np.conj(s[0]) * s[1]
-    return np.array(
-        [2.0 * cross.real, 2.0 * cross.imag, (abs(s[0]) ** 2 - abs(s[1]) ** 2)]
-    )
+    return bloch_vectors(s)[0]
 
 
 def fubini_study_angle(a, b) -> float:

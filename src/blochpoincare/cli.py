@@ -18,15 +18,17 @@ import argparse
 import functools
 import importlib.resources
 import json
+import math
+import os
 import sys
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 from jsonschema import Draft202012Validator
 
 from . import __version__
-from .bloch import bloch_vector, fidelity, is_normalized
+from .bloch import bloch_vectors, fidelities, fidelity, is_normalized
 from .coherence import (
     OpticalScenario,
     QuantumScenario,
@@ -56,7 +58,7 @@ from .polarization import (
 from .speed_limit import (
     Route,
     efficiency,
-    evolve_state,
+    evolve_states,
     synthesize_max_uncertainty,
     synthesize_min_time,
 )
@@ -166,71 +168,111 @@ def _convert_degrees(kind: str, params: dict) -> dict:
 
 def format_float(x: float) -> str:
     """Fixed 17-significant-digit decimal form, enough to round-trip a double."""
-    if isinstance(x, float) and not np.isfinite(x):
+    x = float(x)
+    if not math.isfinite(x):
         raise ValueError("refusing to serialize a non-finite float")
-    return format(float(x), ".17g")
+    return format(x, ".17g")
 
 
 def _json_fragment(value, indent: int) -> str:
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = []
-        for key in sorted(value):
-            items.append(f'{pad}  {json.dumps(str(key))}: {_json_fragment(value[key], indent + 1)}')
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not len(value):
-            return "[]"
-        items = [f"{pad}  {_json_fragment(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, (dict, list, tuple)):
+        return "".join(_json_chunks(value, indent))
     if isinstance(value, bool) or value is None:
         return json.dumps(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(float(value))
+    if isinstance(value, np.floating):
+        return format_float(value)
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
+def _json_chunks(container, indent: int) -> Iterator[str]:
+    """The JSON text of a dict, list or tuple in pieces, each list element whole."""
+    pad = "  " * indent
+    if isinstance(container, dict) and container:
+        opening = "{\n"
+        for key in sorted(container):
+            item, label = container[key], f"{opening}{pad}  {json.dumps(str(key))}: "
+            if isinstance(item, (dict, list, tuple)):
+                yield label
+                yield from _json_chunks(item, indent + 1)
+            else:
+                yield label + _json_fragment(item, indent + 1)
+            opening = ",\n"
+        yield f"\n{pad}}}"
+    elif len(container):
+        opening = "[\n"
+        for item in container:
+            yield f"{opening}{pad}  {_json_fragment(item, indent + 1)}"
+            opening = ",\n"
+        yield f"\n{pad}]"
+    else:
+        yield "{}" if isinstance(container, dict) else "[]"
+
+
+def _csv_chunks(header: str, rows: Iterable[Sequence[float]]) -> Iterator[str]:
+    yield f"# version={__version__}\n{header}\n"
+    for row in rows:
+        yield ",".join(format_float(v) for v in row) + "\n"
+
+
+def _json_document(payload: dict) -> Iterator[str]:
+    yield from _json_chunks(payload, 0)
+    yield "\n"
+
+
 def render_json(payload: dict) -> str:
     """Pretty JSON with sorted keys and 17-significant-digit floats."""
-    return _json_fragment(payload, 0) + "\n"
+    return "".join(_json_document(payload))
 
 
 def render_csv(header: str, rows: Iterable[Sequence[float]]) -> str:
     """Version comment, fixed header row, then one line per record."""
-    lines = [f"# version={__version__}", header]
-    for row in rows:
-        lines.append(",".join(format_float(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_chunks(header, rows))
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_chunks(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to ``path`` (``-`` for stdout) as they are produced.
+
+    A regular file appears whole or not at all: the chunks go to a sibling
+    temporary file that replaces the target only after the last one, so a
+    failure part-way leaves any earlier file at ``path`` untouched. A target
+    that exists and is not a regular file (a FIFO, a device) is written in
+    place.
+    """
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        written = target
+    else:
+        directory, name = os.path.split(target)
+        written = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(written, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+        if written != target:
+            os.replace(written, target)
     except OSError as exc:
-        raise IOError(f"cannot write output file {path!r}: {exc}") from exc
+        raise IOError(f"cannot write output file {path!r}: {exc.strerror or exc}") from exc
+    finally:
+        if written != target and os.path.lexists(written):
+            os.unlink(written)
 
 
-def emit_json(payload: dict, path: str) -> str:
+def emit_json(payload: dict, path: str) -> None:
     body = dict(payload)
     body["version"] = __version__
-    text = render_json(body)
-    _write_text(path, text)
-    return text
+    _write_chunks(path, _json_document(body))
 
 
-def emit_csv(records: Iterable[Sequence[float]], header: str, path: str) -> str:
-    text = render_csv(header, records)
-    _write_text(path, text)
-    return text
+def emit_csv(records: Iterable[Sequence[float]], header: str, path: str) -> None:
+    _write_chunks(path, _csv_chunks(header, records))
 
 
 def _complex_pair(z: complex) -> list:
@@ -253,7 +295,7 @@ def _gate_endpoint_fidelity(config: dict, value: float) -> None:
     """Fail when the endpoint fidelity ``value`` is below 1 minus the config's gate."""
     tolerances = config.get("tolerances", {})
     gate = float(tolerances.get("endpoint_fidelity", tolerances.get("default", 1e-9)))
-    if value < 1.0 - gate:
+    if not value >= 1.0 - gate:
         raise NumericalGateError(f"endpoint fidelity {value!r} below gate 1 - {gate!r}")
 
 
@@ -276,29 +318,24 @@ def _run_evolve(config: dict, fmt: str, out_path: str, hbar: float) -> None:
         raise ConfigError(str(exc)) from exc
 
     times = np.linspace(0.0, result.t_min, samples)
-    records = []
-    for t in times:
-        state = evolve_state(result.hamiltonian, initial, float(t), hbar=hbar)
-        if not is_normalized(state, 1e-10):
-            raise NumericalGateError("trajectory sample lost normalization")
-        vec = bloch_vector(state)
-        records.append(
-            (
-                float(t),
-                state[0].real,
-                state[0].imag,
-                state[1].real,
-                state[1].imag,
-                vec[0],
-                vec[1],
-                vec[2],
-                fidelity(target, state),
-            )
-        )
-    _gate_endpoint_fidelity(config, records[-1][-1])
-    if any(curr[0] <= prev[0] for prev, curr in zip(records, records[1:])):
+    states = evolve_states(result.hamiltonian, initial, times, hbar=hbar)
+    norms = np.vecdot(states, states).real
+    if not np.all(np.abs(norms - 1.0) <= 1e-10):
+        raise NumericalGateError("trajectory sample lost normalization")
+    _gate_endpoint_fidelity(config, fidelity(target, states[-1]))
+    if not np.all(times[1:] > times[:-1]):
         raise NumericalGateError("trajectory times are not strictly increasing")
 
+    columns = (
+        times,
+        states[:, 0].real,
+        states[:, 0].imag,
+        states[:, 1].real,
+        states[:, 1].imag,
+        *bloch_vectors(states).T,
+        fidelities(target, states),
+    )
+    records = zip(*(column.tolist() for column in columns))
     if fmt == "csv":
         emit_csv(records, TRAJECTORY_HEADER, out_path)
     else:
@@ -335,7 +372,7 @@ def _run_optimize(config: dict, fmt: str, out_path: str) -> None:
 
     # optimal_rotation gates the equalized diagonal and the coherence at P;
     # this absolute bound on the polarized intensity is tighter than the ledger's.
-    if abs(ledger.i_pol_after - ledger.i_pol_before) > 1e-9:
+    if not abs(ledger.i_pol_after - ledger.i_pol_before) <= 1e-9:
         raise NumericalGateError("polarized intensity not conserved")
 
     emit_json(
@@ -382,7 +419,7 @@ def _run_mueller(config: dict, fmt: str, out_path: str, seed: int) -> None:
     }
     if is_unitary(jones):
         rotation = wigner_rotation(jones)
-        if np.max(np.abs(rotation - lifted)) > 1e-10:
+        if not np.max(np.abs(rotation - lifted)) <= 1e-10:
             raise NumericalGateError(
                 "trace-form rotation lift disagrees with the Kronecker lift"
             )
@@ -393,6 +430,19 @@ def _run_mueller(config: dict, fmt: str, out_path: str, seed: int) -> None:
             mueller_rotator(float(params["rotator_angle"]))
         )
     emit_json(payload, out_path)
+
+
+def _gate_amplitudes(fields: dict, x: float, y: float) -> None:
+    """Reject the config ``fields`` (name to value) whose amplitudes ``x``, ``y`` overflow.
+
+    Every value of a two-beam law is at most (x + y)**2, and the laws form
+    x**2 * y**2 on the way; the factor 2 leaves headroom for rounding.
+    """
+    peak, product = x + y, x * y
+    if not (math.isfinite(2.0 * peak * peak) and math.isfinite(2.0 * product * product)):
+        named = " and ".join(f"'parameters/{field}'" for field in fields)
+        given = " and ".join(f"{field} = {value!r}" for field, value in fields.items())
+        raise ConfigError(f"config fields {named}: {given} overflow the interference law")
 
 
 def _run_interference(config: dict, fmt: str, out_path: str) -> None:
@@ -406,15 +456,21 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
             raise ConfigError(str(exc)) from exc
         rows = []
         for theta in _grid_values(params["analyzer_angles"]):
-            visibility = fringe_visibility(j, float(theta))
+            try:
+                visibility = fringe_visibility(j, float(theta))
+            except ValueError as exc:
+                raise ConfigError(
+                    f"config field 'parameters/analyzer_angles': angle {float(theta)!r} rad: {exc}"
+                ) from exc
             for eps in _grid_values(params["phase_delays"]):
                 intensity = classical_intensity(j, float(theta), float(eps))
-                if intensity < -1e-12:
+                if not intensity >= -1e-12:
                     raise NumericalGateError("negative intensity in classical sweep")
                 rows.append((float(theta), float(eps), intensity, visibility))
         header = "theta,epsilon,intensity,visibility"
     elif law == "pancharatnam":
         i_a, i_b = float(params["intensity_a"]), float(params["intensity_b"])
+        _gate_amplitudes({"intensity_a": i_a, "intensity_b": i_b}, math.sqrt(i_a), math.sqrt(i_b))
         rows = []
         for theta in _grid_values(params["sphere_angles"]):
             for delta in _grid_values(params["phase_advances"]):
@@ -431,16 +487,7 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
         state_b = _as_state_array(params["state_b"])
         amp_a = _as_complex(params["amp_a"])
         modulus = float(params["amp_b_modulus"])
-        # Every probability in the sweep is at most (|amp_a| + amp_b_modulus)**2,
-        # and quantum_probability forms |amp_a|**2 * amp_b_modulus**2 on the way;
-        # the factor 2 leaves headroom for rounding.
-        peak, product = abs(amp_a) + modulus, abs(amp_a) * modulus
-        if not (np.isfinite(2.0 * peak * peak) and np.isfinite(2.0 * product * product)):
-            raise ConfigError(
-                "config fields 'parameters/amp_a' and 'parameters/amp_b_modulus': "
-                f"|amp_a| = {abs(amp_a)!r} and amp_b_modulus = {modulus!r} "
-                "overflow the probability"
-            )
+        _gate_amplitudes({"amp_a": amp_a, "amp_b_modulus": modulus}, abs(amp_a), modulus)
         rows = []
         for phase in _grid_values(params["relative_phases"]):
             amp_b = modulus * np.exp(1j * float(phase))
@@ -448,7 +495,7 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
             direct = float(
                 np.linalg.norm(amp_a * state_a + amp_b * state_b) ** 2
             )
-            if abs(law_value - direct) > 1e-12 * max(1.0, direct):
+            if not abs(law_value - direct) <= 1e-12 * max(1.0, direct):
                 raise NumericalGateError("interference law deviates from direct norm")
             rows.append((float(phase), law_value, direct))
         header = "relative_phase,probability,direct_norm"
@@ -478,10 +525,8 @@ def _run_correspondence(config: dict, fmt: str, out_path: str, hbar: float) -> N
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    trajectory = [
-        evolve_state(synthesis.hamiltonian, initial, float(t), hbar=hbar)
-        for t in np.linspace(0.0, synthesis.t_min, samples)
-    ]
+    times = np.linspace(0.0, synthesis.t_min, samples)
+    trajectory = evolve_states(synthesis.hamiltonian, initial, times, hbar=hbar)
     quantum = QuantumScenario(
         synthesis=synthesis,
         efficiency=efficiency(trajectory),

@@ -287,7 +287,7 @@ def _check_pairing(quantum: QuantumScenario, optical: OpticalScenario) -> None:
         )
     synthesis = quantum.synthesis
     reached = evolve_state(synthesis.hamiltonian, a, synthesis.t_min, hbar=synthesis.hbar)
-    if abs(abs(overlap(b, reached)) - 1.0) > 1e-8:
+    if not abs(abs(overlap(b, reached)) - 1.0) <= 1e-8:
         raise ValueError(
             "mismatched scenario pairing: synthesis does not connect the "
             "declared endpoint states"

@@ -1,12 +1,15 @@
 """Small fixed-size numerical kernels shared by the physics modules.
 
-Pauli matrices, the Hermiticity test and the closed-form SU(2) exponential.
+Pauli matrices, the Hermiticity test and the closed-form SU(2) exponential,
+evaluated on a whole time vector at once.
 Everything is pure: no global state, no randomness, bit-stable results for
 identical inputs.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import Tuple
 
 import numpy as np
@@ -36,14 +39,31 @@ def pauli_components(matrix: np.ndarray) -> Tuple[float, float, float, float]:
     return a0, ax, ay, az
 
 
-def matrix_exponential_su2(
-    hamiltonian: np.ndarray, time: float, hbar: float = 1.0, tol: float = 1e-12
-) -> np.ndarray:
-    """exp(-i H t / hbar) for a Hermitian 2x2 generator, in closed form.
+def _pauli_norm(ax: float, ay: float, az: float) -> float:
+    """Euclidean norm of a Pauli vector, with no under- or overflow.
 
-    Splits H into its trace part and Pauli axis and applies the cos/sin
-    rotation formula, so the result is unitary to machine precision with no
-    series truncation.
+    Where the plain sum of squares is a normal finite number it is used as
+    is; elsewhere the components are divided by the largest first.
+    """
+    squares = ax * ax + ay * ay + az * az
+    if sys.float_info.min <= squares <= sys.float_info.max:
+        return math.sqrt(squares)
+    scale = max(abs(ax), abs(ay), abs(az))
+    if scale == 0.0:
+        return 0.0
+    x, y, z = ax / scale, ay / scale, az / scale
+    return scale * math.sqrt(x * x + y * y + z * z)
+
+
+def su2_propagators(
+    hamiltonian: np.ndarray, times, hbar: float = 1.0, tol: float = 1e-12
+) -> np.ndarray:
+    """exp(-i H t / hbar) for each t in ``times``, shape (N, 2, 2), in closed form.
+
+    Checks hermiticity and splits H into its trace part and Pauli axis once,
+    then applies the cos/sin rotation formula on the whole time vector, so
+    every row is unitary to machine precision with no series truncation.
+    Row for row the result is bit-equal to the scalar evaluation at each time.
     """
     h = np.asarray(hamiltonian, dtype=complex)
     if h.shape != (2, 2):
@@ -51,10 +71,20 @@ def matrix_exponential_su2(
     if not is_hermitian(h, tol):
         raise ValueError("generator must be Hermitian")
     a0, ax, ay, az = pauli_components(h)
-    norm = float(np.sqrt(ax * ax + ay * ay + az * az))
-    angle = norm * time / hbar
-    phase = np.exp(-1j * a0 * time / hbar)
+    norm = _pauli_norm(ax, ay, az)
+    t = np.asarray(times, dtype=float).reshape(-1)
+    # A real exponent first: the complex form -1j * a0 * t / hbar would divide
+    # by hbar through its reciprocal on arrays.
+    phase = np.exp(1j * (-a0 * t / hbar))[:, None, None]
     if norm == 0.0:
         return phase * IDENTITY2
+    angle = (norm * t / hbar)[:, None, None]
     axis_dot_sigma = (ax * PAULI_X + ay * PAULI_Y + az * PAULI_Z) / norm
     return phase * (np.cos(angle) * IDENTITY2 - 1j * np.sin(angle) * axis_dot_sigma)
+
+
+def matrix_exponential_su2(
+    hamiltonian: np.ndarray, time: float, hbar: float = 1.0, tol: float = 1e-12
+) -> np.ndarray:
+    """exp(-i H t / hbar) for a Hermitian 2x2 generator: one row of ``su2_propagators``."""
+    return su2_propagators(hamiltonian, [time], hbar=hbar, tol=tol)[0]

@@ -4,11 +4,22 @@ Oracles here deliberately avoid the library code paths they are used to
 check: the matrix exponential is a scaled-and-squared Taylor series,
 coherency rotations are spelled out entrywise, maxima come from a grid search
 with golden-section refinement, and period averages from the trapezoid rule.
+The scalar SU(2) exponential, Bloch vector and fidelity are the one-state
+evaluations the batched kernels must reproduce bit for bit.
 """
 
 from typing import Callable, Tuple
 
 import numpy as np
+
+from blochpoincare.numerics import (
+    IDENTITY2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    is_hermitian,
+    pauli_components,
+)
 
 
 def random_state(rng):
@@ -224,3 +235,38 @@ def time_average_quadrature(f: Callable[[float], float], period: float, n: int) 
         bad = int(np.flatnonzero(~np.isfinite(samples))[0])
         raise ValueError(f"non-finite sample at t={float(ts[bad])!r}")
     return float(np.trapezoid(samples, ts) / period)
+
+
+def scalar_su2_exponential(hamiltonian, time, hbar=1.0, tol=1e-12):
+    """exp(-i H t / hbar) at one time, by the closed-form cos/sin rotation formula."""
+    h = np.asarray(hamiltonian, dtype=complex)
+    if h.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {h.shape}")
+    if not is_hermitian(h, tol):
+        raise ValueError("generator must be Hermitian")
+    a0, ax, ay, az = pauli_components(h)
+    norm = float(np.sqrt(ax * ax + ay * ay + az * az))
+    angle = norm * time / hbar
+    phase = np.exp(-1j * a0 * time / hbar)
+    if norm == 0.0:
+        return phase * IDENTITY2
+    axis_dot_sigma = (ax * PAULI_X + ay * PAULI_Y + az * PAULI_Z) / norm
+    return phase * (np.cos(angle) * IDENTITY2 - 1j * np.sin(angle) * axis_dot_sigma)
+
+
+def scalar_bloch_vector(state):
+    """(2 Re c0* c1, 2 Im c0* c1, |c0|^2 - |c1|^2) of one state, on numpy scalars."""
+    s = np.asarray(state, dtype=complex)
+    cross = np.conj(s[0]) * s[1]
+    return np.array([2.0 * cross.real, 2.0 * cross.imag, (abs(s[0]) ** 2 - abs(s[1]) ** 2)])
+
+
+def scalar_fidelity(a, b):
+    """|<a|b>|^2 of two states, on a Python complex."""
+    return abs(complex(np.vdot(a, b))) ** 2
+
+
+def bitwise_equal(a, b):
+    """True when two arrays hold the same doubles, signs of zero included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()

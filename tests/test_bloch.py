@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochpoincare.bloch import (
     angles_from_state,
     bloch_vector,
+    bloch_vectors,
+    fidelities,
+    fidelity,
     fubini_study_angle,
     orthogonal_state,
     state_from_angles,
     states_equal_up_to_phase,
 )
-from helpers import random_state
+from helpers import bitwise_equal, random_state, scalar_bloch_vector, scalar_fidelity
 
 
 def test_state_from_angles_poles_and_equator():
@@ -106,3 +111,21 @@ def test_equal_up_to_phase_comparator():
     s = np.array([0.6, 0.8j])
     assert states_equal_up_to_phase(s, np.exp(1j * 1.234) * s)
     assert not states_equal_up_to_phase(s, np.array([0.8, 0.6j]))
+
+
+_PART = st.floats(min_value=-10.0, max_value=10.0)
+_STATE = st.tuples(_PART, _PART, _PART, _PART).map(
+    lambda p: np.array([complex(p[0], p[1]), complex(p[2], p[3])])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_STATE, states=st.lists(_STATE, min_size=1, max_size=20))
+def test_batched_bloch_vectors_and_fidelities_are_bitwise_the_scalar_ones(a, states):
+    stack = np.array(states)
+    vectors, values = bloch_vectors(stack), fidelities(a, stack)
+    assert vectors.shape == (len(states), 3) and values.shape == (len(states),)
+    for state, vector, value in zip(states, vectors, values):
+        assert bitwise_equal(vector, scalar_bloch_vector(state))
+        assert bitwise_equal(value, np.float64(scalar_fidelity(a, state)))
+        assert fidelity(a, state) == value

@@ -1,9 +1,20 @@
 import json
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
 
 from blochpoincare import cli
+from blochpoincare.bloch import bloch_vector, fidelity
+from blochpoincare.speed_limit import (
+    Route,
+    evolve_state,
+    evolve_states,
+    synthesize_max_uncertainty,
+    synthesize_min_time,
+)
 
 HALF = 1.0 / np.sqrt(2.0)
 
@@ -160,6 +171,29 @@ def test_numerical_gate_failure_exit(tmp_path, monkeypatch):
     code = cli.main(["correspondence", "--config", str(config), "--output", str(report)])
     assert code == cli.EXIT_NUMERIC
     assert json.loads(report.read_text())["kind"] == "correspondence"
+
+
+def _nan_at_second_sample(h, state, times, hbar):
+    states = evolve_states(h, state, times, hbar=hbar)
+    states[1] = np.nan
+    return states
+
+
+@pytest.mark.parametrize(
+    "name, fake, gate",
+    [
+        ("fidelity", lambda a, b: float("nan"), "endpoint fidelity nan"),
+        ("evolve_states", _nan_at_second_sample, "lost normalization"),
+    ],
+)
+def test_nan_fails_the_trajectory_gates(tmp_path, monkeypatch, capsys, name, fake, gate):
+    config = write_config(tmp_path, EVOLVE_CONFIG)
+    out = tmp_path / "out.csv"
+    monkeypatch.setattr(cli, name, fake)
+    argv = ["evolve", "--config", str(config), "--output", str(out), "--format", "csv"]
+    assert cli.main(argv) == cli.EXIT_NUMERIC
+    assert gate in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_mueller_scenario_output(tmp_path):
@@ -333,8 +367,9 @@ def test_emit_csv_header_only_and_single_record(tmp_path):
 
 def test_emit_json_is_sorted_and_deterministic(tmp_path):
     payload = {"b": 0.1, "a": [1, 2.5], "nested": {"y": True, "x": None}}
-    one = cli.emit_json(dict(payload), str(tmp_path / "one.json"))
-    two = cli.emit_json(dict(reversed(list(payload.items()))), str(tmp_path / "two.json"))
+    cli.emit_json(dict(payload), str(tmp_path / "one.json"))
+    cli.emit_json(dict(reversed(list(payload.items()))), str(tmp_path / "two.json"))
+    one, two = (tmp_path / "one.json").read_text(), (tmp_path / "two.json").read_text()
     assert one == two
     assert one.index('"a"') < one.index('"b"') < one.index('"nested"')
     assert json.loads(one)["b"] == 0.1
@@ -425,3 +460,166 @@ def test_flags_no_runner_reads_are_not_accepted(kind, flag):
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args([kind, "--config", "-", flag, "1e-30"])
     assert exc.value.code == cli.EXIT_SCHEMA
+
+
+def _reference_trajectory(params, hbar, fmt):
+    """The evolve output rendered row by row through the one-state API."""
+    initial = np.array([complex(*v) for v in params["initial"]])
+    target = np.array([complex(*v) for v in params["target"]])
+    route = Route(params["route"])
+    synthesize = (
+        synthesize_min_time if route is Route.TIME_MINIMIZATION else synthesize_max_uncertainty
+    )
+    result = synthesize(initial, target, params["energy"], hbar=hbar)
+    rows = []
+    for t in np.linspace(0.0, result.t_min, params["samples"]):
+        state = evolve_state(result.hamiltonian, initial, float(t), hbar=hbar)
+        vec = bloch_vector(state)
+        rows.append(
+            (float(t), state[0].real, state[0].imag, state[1].real, state[1].imag)
+            + (vec[0], vec[1], vec[2], fidelity(target, state))
+        )
+    if fmt == "csv":
+        return cli.render_csv(cli.TRAJECTORY_HEADER, rows)
+    trajectory = [
+        {
+            "t": r[0],
+            "state": [[r[1], r[2]], [r[3], r[4]]],
+            "bloch": [r[5], r[6], r[7]],
+            "fidelity_to_target": r[8],
+        }
+        for r in rows
+    ]
+    return cli.render_json(
+        {
+            "kind": "evolve",
+            "route": route.value,
+            "t_min": result.t_min,
+            "delta_e": result.delta_e,
+            "hbar": hbar,
+            "trajectory": trajectory,
+            "version": cli.__version__,
+        }
+    )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("hbar_from", [None, "config", "flag"])
+@pytest.mark.parametrize("route", [r.value for r in Route])
+def test_evolve_output_is_bytewise_the_row_by_row_reference(tmp_path, route, hbar_from, fmt):
+    params = {
+        "initial": [[1.0, 0.0], [0.0, 0.0]],
+        "target": [[0.6, 0.0], [0.0, 0.8]],
+        "energy": 1.3,
+        "samples": 64,
+        "route": route,
+    }
+    payload, argv, hbar = {"parameters": params}, [], 1.0
+    if hbar_from == "config":
+        payload["hbar"], hbar = 2.5, 2.5
+    elif hbar_from == "flag":
+        argv, hbar = ["--hbar", "0.7"], 0.7
+    config = write_config(tmp_path, payload)
+    out = tmp_path / f"trajectory.{fmt}"
+    argv = ["evolve", "--config", str(config), "--output", str(out), "--format", fmt, *argv]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert out.read_text() == _reference_trajectory(params, hbar, fmt)
+
+
+@pytest.mark.parametrize("energy", [1e-200, 1e200])
+@pytest.mark.parametrize("route", [r.value for r in Route])
+def test_evolve_at_extreme_energies(tmp_path, route, energy):
+    params = dict(EVOLVE_CONFIG["parameters"], energy=energy, route=route, samples=5)
+    config = write_config(tmp_path, {"parameters": params})
+    out = tmp_path / "trajectory.csv"
+    argv = ["evolve", "--config", str(config), "--output", str(out), "--format", "csv"]
+    assert cli.main(argv) == cli.EXIT_OK
+    last = [float(x) for x in out.read_text().splitlines()[-1].split(",")]
+    # |0> to |+>: t_min = pi / (2 e0) at a gap e0, pi / (4 e) at a dispersion e
+    quarter_turns = 2.0 if route == Route.TIME_MINIMIZATION.value else 1.0
+    assert last[0] * energy == pytest.approx(quarter_turns * np.pi / 4.0, rel=1e-12)
+    assert last[-1] >= 1.0 - 1e-12
+
+
+def test_vanishing_analyzer_intensities_are_a_config_error(tmp_path, capsys):
+    payload = {
+        "parameters": {
+            "law": "classical",
+            "coherency": [[0.0, 0.0], [0.0, 1.0]],
+            "analyzer_angles": {"start": 0.0, "stop": 0.0, "count": 1},
+            "phase_delays": {"start": 0.0, "stop": np.pi, "count": 3},
+        }
+    }
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "sweep.csv"
+    argv = ["interference", "--config", str(config), "--output", str(out), "--format", "csv"]
+    assert cli.main(argv) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'parameters/analyzer_angles': angle 0.0 rad")
+    assert not out.exists()
+
+
+# 1e308: the intensity overflows; 1e200: only intensity_a * intensity_b does.
+@pytest.mark.parametrize("intensity", [1e308, 1e200])
+def test_overflowing_pancharatnam_intensities_are_a_config_error(tmp_path, capsys, intensity):
+    payload = {
+        "parameters": {
+            "law": "pancharatnam",
+            "intensity_a": intensity,
+            "intensity_b": intensity,
+            "sphere_angles": {"start": 0.0, "stop": np.pi, "count": 3},
+            "phase_advances": {"start": 0.0, "stop": np.pi, "count": 3},
+        }
+    }
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "sweep.json"
+    assert cli.main(["interference", "--config", str(config), "--output", str(out)]) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "'parameters/intensity_a'" in err and "'parameters/intensity_b'" in err
+    assert not out.exists()
+
+
+def test_failed_render_leaves_the_earlier_file_and_no_temporary(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("earlier\n")
+    # Enough rows that the first chunks reach the file before the bad one.
+    rows = [(float(k), 0.5) for k in range(20000)] + [(1.0, float("nan"))]
+    with pytest.raises(ValueError, match="non-finite"):
+        cli.emit_csv(rows, "a,b", str(target))
+    with pytest.raises(ValueError, match="non-finite"):
+        cli.emit_json({"rows": [1.0, float("inf")]}, str(tmp_path / "new.json"))
+    assert target.read_text() == "earlier\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_written_file_mode_follows_the_umask(tmp_path):
+    previous = os.umask(0o027)
+    try:
+        cli.emit_json({"a": 1.0}, str(tmp_path / "out.json"))
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE((tmp_path / "out.json").stat().st_mode) == 0o640
+
+
+def test_output_through_a_symlink_replaces_the_linked_file(tmp_path):
+    linked = tmp_path / "linked.json"
+    linked.write_text("earlier\n")
+    (tmp_path / "link.json").symlink_to(linked)
+    cli.emit_json({"a": 1.0}, str(tmp_path / "link.json"))
+    assert (tmp_path / "link.json").is_symlink()
+    assert json.loads(linked.read_text()) == {"a": 1.0, "version": cli.__version__}
+
+
+def test_output_to_a_fifo_is_streamed_in_place(tmp_path):
+    config = write_config(tmp_path, EVOLVE_CONFIG)
+    regular, fifo = tmp_path / "regular.csv", tmp_path / "fifo.csv"
+    argv = ["evolve", "--config", str(config), "--format", "csv", "--output"]
+    assert cli.main([*argv, str(regular)]) == cli.EXIT_OK
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert cli.main([*argv, str(fifo)]) == cli.EXIT_OK
+    reader.join(timeout=30)
+    assert received == [regular.read_text()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)

@@ -1,15 +1,32 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blochpoincare.numerics import PAULI_Y, PAULI_Z, matrix_exponential_su2
+from blochpoincare.numerics import (
+    PAULI_Y,
+    PAULI_Z,
+    matrix_exponential_su2,
+    su2_propagators,
+)
 from helpers import (
+    bitwise_equal,
     coherence_magnitude,
     conjugate_coherency,
     grid_search_max,
     random_su2,
+    scalar_su2_exponential,
     series_expm,
     time_average_quadrature,
+)
+
+# Pauli components whose sum of squares stays a normal double: there the
+# kernel takes the same plain norm as the scalar oracle.
+_COMPONENT = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-100, max_value=1e100),
+    st.floats(min_value=-1e100, max_value=-1e-100),
 )
 
 
@@ -125,3 +142,19 @@ def test_time_average_product_to_sum():
 def test_time_average_rejects_non_finite():
     with pytest.raises(ValueError, match="t="):
         time_average_quadrature(lambda t: np.nan if t > 0.5 else 1.0, 1.0, 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    components=st.tuples(_COMPONENT, _COMPONENT, _COMPONENT, _COMPONENT),
+    times=st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=20),
+    hbar=st.floats(min_value=1e-3, max_value=1e3).filter(lambda x: x != 1.0),
+)
+def test_propagator_rows_are_bitwise_the_scalar_exponential(components, times, hbar):
+    a0, ax, ay, az = components
+    h = np.array([[a0 + az, complex(ax, -ay)], [complex(ax, ay), a0 - az]])
+    rows = su2_propagators(h, times, hbar=hbar)
+    assert rows.shape == (len(times), 2, 2)
+    for row, t in zip(rows, times):
+        assert bitwise_equal(row, scalar_su2_exponential(h, t, hbar=hbar))
+        assert bitwise_equal(matrix_exponential_su2(h, t, hbar=hbar), row)

@@ -9,6 +9,7 @@ from blochpoincare.bloch import (
     orthogonal_state,
     states_equal_up_to_phase,
 )
+from blochpoincare import speed_limit
 from blochpoincare.numerics import PAULI_X, PAULI_Y
 from blochpoincare.speed_limit import (
     Hamiltonian2,
@@ -17,6 +18,7 @@ from blochpoincare.speed_limit import (
     efficiency,
     energy_uncertainty,
     evolve_state,
+    evolve_states,
     geodesic_state,
     synthesize_max_uncertainty,
     synthesize_min_time,
@@ -122,6 +124,27 @@ def test_min_time_hbar_scaling():
     t1 = synthesize_min_time(ZERO, PLUS, 1.0, hbar=1.0).t_min
     t2 = synthesize_min_time(ZERO, PLUS, 1.0, hbar=2.0).t_min
     assert abs(t2 - 2.0 * t1) < 1e-14
+
+
+@pytest.mark.parametrize("synthesize", [synthesize_min_time, synthesize_max_uncertainty])
+@pytest.mark.parametrize("exponent", range(-300, 301, 50))
+def test_synthesis_holds_across_the_double_range(synthesize, exponent):
+    # The physics depends on e0 * t / hbar only; the endpoint gate must pass,
+    # and the trajectory land on the target, at every representable scale.
+    target = np.array([0.6, 0.8j])
+    result = synthesize(ZERO, target, 10.0**exponent)
+    assert result.t_min * result.delta_e == pytest.approx(
+        fubini_study_angle(ZERO, target) / 2.0, rel=1e-12
+    )
+    reached = evolve_states(result.hamiltonian, ZERO, [0.0, result.t_min])
+    assert fidelity(target, reached[-1]) >= 1.0 - 1e-12
+    assert np.allclose(reached[0], ZERO, atol=1e-15)
+
+
+def test_nan_endpoint_fails_the_synthesis_gate(monkeypatch):
+    monkeypatch.setattr(speed_limit, "evolve_state", lambda *args, **kwargs: np.full(2, np.nan))
+    with pytest.raises(RuntimeError, match="endpoint check failed"):
+        synthesize_min_time(ZERO, PLUS, 1.0)
 
 
 def test_basis_rotation_helper_enables_general_initial_states():
