@@ -20,6 +20,7 @@ import importlib.resources
 import json
 import math
 import os
+import stat
 import sys
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence
@@ -240,23 +241,32 @@ def _write_chunks(path: str, chunks: Iterable[str]) -> None:
 
     A regular file appears whole or not at all: the chunks go to a sibling
     temporary file that replaces the target only after the last one, so a
-    failure part-way leaves any earlier file at ``path`` untouched. A target
-    that exists and is not a regular file (a FIFO, a device) is written in
-    place.
+    failure part-way leaves any earlier file at ``path`` untouched. The new
+    file takes the permission bits of the one it replaces (hard links to the
+    old file are not kept). A target that exists and is not a regular file
+    (a FIFO, a device, a pipe named by ``/dev/fd/N``) is written in place.
     """
     if path == "-":
         sys.stdout.writelines(chunks)
         return
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        written = target
+    try:
+        # Stat the path as given: the kernel follows /dev/fd and /proc fd
+        # links to pipes, which realpath cannot resolve to a real path.
+        mode = os.stat(path).st_mode
+    except OSError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        target = written = path
     else:
+        target = os.path.realpath(path)
         directory, name = os.path.split(target)
         written = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         with open(written, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)
         if written != target:
+            if mode is not None:
+                os.chmod(written, stat.S_IMODE(mode))
             os.replace(written, target)
     except OSError as exc:
         raise IOError(f"cannot write output file {path!r}: {exc.strerror or exc}") from exc

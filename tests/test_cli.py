@@ -623,3 +623,38 @@ def test_output_to_a_fifo_is_streamed_in_place(tmp_path):
     reader.join(timeout=30)
     assert received == [regular.read_text()]
     assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+def test_output_to_a_dev_fd_pipe_is_streamed_in_place(tmp_path):
+    config = write_config(tmp_path, EVOLVE_CONFIG)
+    regular = tmp_path / "regular.csv"
+    argv = ["evolve", "--config", str(config), "--format", "csv", "--output"]
+    assert cli.main([*argv, str(regular)]) == cli.EXIT_OK
+    read_end, write_end = os.pipe()
+    received = []
+
+    def drain():
+        with os.fdopen(read_end, encoding="utf-8") as handle:
+            received.append(handle.read())
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    try:
+        assert cli.main([*argv, f"/dev/fd/{write_end}"]) == cli.EXIT_OK
+    finally:
+        os.close(write_end)
+    reader.join(timeout=30)
+    assert received == [regular.read_text()]
+
+
+def test_replaced_output_keeps_its_permission_bits(tmp_path):
+    target = tmp_path / "out.json"
+    target.write_text("earlier\n")
+    target.chmod(0o600)
+    previous = os.umask(0o022)
+    try:
+        cli.emit_json({"a": 1.0}, str(target))
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert json.loads(target.read_text()) == {"a": 1.0, "version": cli.__version__}

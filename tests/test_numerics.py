@@ -10,11 +10,13 @@ from blochpoincare.numerics import (
     matrix_exponential_su2,
     su2_propagators,
 )
+from blochpoincare.speed_limit import Hamiltonian2, evolve_states
 from helpers import (
     bitwise_equal,
     coherence_magnitude,
     conjugate_coherency,
     grid_search_max,
+    random_state,
     random_su2,
     scalar_su2_exponential,
     series_expm,
@@ -158,3 +160,20 @@ def test_propagator_rows_are_bitwise_the_scalar_exponential(components, times, h
     for row, t in zip(rows, times):
         assert bitwise_equal(row, scalar_su2_exponential(h, t, hbar=hbar))
         assert bitwise_equal(matrix_exponential_su2(h, t, hbar=hbar), row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    components=st.tuples(*(st.floats(min_value=-1e3, max_value=1e3),) * 4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    times=st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=20),
+    hbar=st.floats(min_value=1e-3, max_value=1e3).filter(lambda x: x != 1.0),
+)
+def test_evolved_states_are_bitwise_the_scalar_propagator_applied(components, seed, times, hbar):
+    a0, ax, ay, az = components
+    h = np.array([[a0 + az, complex(ax, -ay)], [complex(ax, ay), a0 - az]])
+    state = random_state(np.random.default_rng(seed))
+    states = evolve_states(Hamiltonian2(h), state, times, hbar=hbar)
+    assert states.shape == (len(times), 2)
+    for evolved, t in zip(states, times):
+        assert bitwise_equal(evolved, scalar_su2_exponential(h, t, hbar=hbar) @ state)
