@@ -77,7 +77,6 @@ from .speed_limit import (
     energy_uncertainty,
     evolve_state,
     evolve_states,
-    evolution_operator,
     geodesic_state,
     synthesize_max_uncertainty,
     synthesize_min_time,

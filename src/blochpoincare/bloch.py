@@ -7,10 +7,11 @@ states go through the up-to-phase helpers.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
+
+from .numerics import _squares
 
 TWO_PI = 2.0 * np.pi
 
@@ -20,11 +21,6 @@ class BlochAngles(NamedTuple):
 
     theta: float
     phi: float
-
-
-def _squares(values: np.ndarray) -> list:
-    # libm pow, as a Python or numpy scalar squares; array squaring rounds differently.
-    return [math.pow(x, 2.0) for x in values.tolist()]
 
 
 def as_state(vec) -> np.ndarray:
@@ -55,7 +51,7 @@ def overlap(a, b) -> complex:
 def fidelities(a, states) -> np.ndarray:
     """|<a|s>|^2 for each row s of ``states``, shape (N, 2) -> (N,)."""
     inner = np.vecdot(as_state(a), np.asarray(states, dtype=complex).reshape(-1, 2))
-    return np.array(_squares(np.hypot(inner.real, inner.imag)))
+    return _squares(np.hypot(inner.real, inner.imag))
 
 
 def fidelity(a, b) -> float:
@@ -108,7 +104,7 @@ def bloch_vectors(states) -> np.ndarray:
     # differently from its scalar one.
     cross_re = re0 * re1 + im0 * im1
     cross_im = re0 * im1 - im0 * re1
-    bz = np.subtract(_squares(np.hypot(re0, im0)), _squares(np.hypot(re1, im1)))
+    bz = _squares(np.hypot(re0, im0)) - _squares(np.hypot(re1, im1))
     return np.stack((2.0 * cross_re, 2.0 * cross_im, bz), axis=-1)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from jsonschema import Draft202012Validator
 
 from . import __version__
-from .bloch import bloch_vectors, fidelities, fidelity, is_normalized
+from .bloch import bloch_vectors, fidelities, fidelity
 from .coherence import (
     OpticalScenario,
     QuantumScenario,
@@ -51,11 +51,8 @@ from .mueller import (
     mueller_rotator,
     wigner_rotation,
 )
-from .polarization import (
-    rotate_coherency,
-    stokes_from_coherency,
-    validate_coherency,
-)
+from .numerics import _squares
+from .polarization import rotate_coherency, stokes_from_coherency
 from .speed_limit import (
     Route,
     efficiency,
@@ -94,7 +91,7 @@ class NumericalGateError(Exception):
 # range violation or an unexpected field, whatever the key order of the file.
 _FIRST_KEYWORDS = ("type", "required")
 
-# Config fields holding angles in radians, converted when --degrees is set.
+# Config fields holding angles in radians, by the kinds that take --degrees.
 _ANGLE_FIELDS = {
     "mueller": ("rotator_angle",),
     "interference": (
@@ -147,7 +144,7 @@ def _grid_values(grid: dict) -> np.ndarray:
 def _convert_degrees(kind: str, params: dict) -> dict:
     """Convert the angle-valued fields of a config from degrees to radians."""
     converted = dict(params)
-    for field in _ANGLE_FIELDS.get(kind, ()):
+    for field in _ANGLE_FIELDS[kind]:
         if field not in converted:
             continue
         value = converted[field]
@@ -316,8 +313,6 @@ def _run_evolve(config: dict, fmt: str, out_path: str, hbar: float) -> None:
     energy = float(params["energy"])
     samples = int(params.get("samples", _DEFAULT_SAMPLES))
     route = Route(params.get("route", Route.TIME_MINIMIZATION.value))
-    if not (is_normalized(initial, 1e-9) and is_normalized(target, 1e-9)):
-        raise ConfigError("endpoint states must be normalized")
 
     try:
         if route is Route.TIME_MINIMIZATION:
@@ -460,37 +455,32 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
     law = params["law"]
     if law == "classical":
         j = _as_matrix(params["coherency"])
+        grids = _grid_values(params["analyzer_angles"]), _grid_values(params["phase_delays"])
+        theta, epsilon = np.meshgrid(*grids, indexing="ij")
         try:
-            validate_coherency(j)
+            intensity = classical_intensity(j, theta, epsilon)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        rows = []
-        for theta in _grid_values(params["analyzer_angles"]):
-            try:
-                visibility = fringe_visibility(j, float(theta))
-            except ValueError as exc:
-                raise ConfigError(
-                    f"config field 'parameters/analyzer_angles': angle {float(theta)!r} rad: {exc}"
-                ) from exc
-            for eps in _grid_values(params["phase_delays"]):
-                intensity = classical_intensity(j, float(theta), float(eps))
-                if not intensity >= -1e-12:
-                    raise NumericalGateError("negative intensity in classical sweep")
-                rows.append((float(theta), float(eps), intensity, visibility))
+        try:
+            visibility = fringe_visibility(j, theta)
+        except ValueError as exc:
+            raise ConfigError(f"config field 'parameters/analyzer_angles': {exc}") from exc
+        if not np.all(np.isfinite(intensity)):
+            raise ConfigError("config field 'parameters/coherency': the intensities overflow")
+        if not np.all(intensity >= -1e-12):
+            raise NumericalGateError("negative intensity in classical sweep")
+        columns = (theta, epsilon, intensity, visibility)
         header = "theta,epsilon,intensity,visibility"
     elif law == "pancharatnam":
         i_a, i_b = float(params["intensity_a"]), float(params["intensity_b"])
         _gate_amplitudes({"intensity_a": i_a, "intensity_b": i_b}, math.sqrt(i_a), math.sqrt(i_b))
-        rows = []
-        for theta in _grid_values(params["sphere_angles"]):
-            for delta in _grid_values(params["phase_advances"]):
-                rows.append(
-                    (
-                        float(theta),
-                        float(delta),
-                        pancharatnam_intensity(i_a, i_b, float(theta), float(delta)),
-                    )
-                )
+        grids = _grid_values(params["sphere_angles"]), _grid_values(params["phase_advances"])
+        theta, delta = np.meshgrid(*grids, indexing="ij")
+        try:
+            intensity = pancharatnam_intensity(i_a, i_b, theta, delta)
+        except ValueError as exc:
+            raise ConfigError(f"config field 'parameters/sphere_angles': {exc}") from exc
+        columns = (theta, delta, intensity)
         header = "theta_poincare,delta,intensity"
     else:
         state_a = _as_state_array(params["state_a"])
@@ -498,23 +488,28 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
         amp_a = _as_complex(params["amp_a"])
         modulus = float(params["amp_b_modulus"])
         _gate_amplitudes({"amp_a": amp_a, "amp_b_modulus": modulus}, abs(amp_a), modulus)
-        rows = []
-        for phase in _grid_values(params["relative_phases"]):
-            amp_b = modulus * np.exp(1j * float(phase))
-            law_value = quantum_probability(amp_a, amp_b, state_a, state_b)
-            direct = float(
-                np.linalg.norm(amp_a * state_a + amp_b * state_b) ** 2
-            )
-            if not abs(law_value - direct) <= 1e-12 * max(1.0, direct):
-                raise NumericalGateError("interference law deviates from direct norm")
-            rows.append((float(phase), law_value, direct))
+        phases = _grid_values(params["relative_phases"])
+        amp_b = modulus * np.exp(1j * phases)
+        try:
+            probability = quantum_probability(amp_a, amp_b, state_a, state_b)
+        except ValueError as exc:
+            raise ConfigError(
+                f"config fields 'parameters/state_a' and 'parameters/state_b': {exc}"
+            ) from exc
+        # np.linalg.norm of each row, bit for bit, squared as its scalar result squares.
+        v = amp_a * state_a + amp_b[:, None] * state_b
+        direct = _squares(np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag)))
+        if not np.all(np.abs(probability - direct) <= 1e-12 * np.maximum(1.0, direct)):
+            raise NumericalGateError("interference law deviates from direct norm")
+        columns = (phases, probability, direct)
         header = "relative_phase,probability,direct_norm"
 
+    records = zip(*(np.ravel(column).tolist() for column in columns))
     if fmt == "csv":
-        emit_csv(rows, header, out_path)
+        emit_csv(records, header, out_path)
     else:
         keys = header.split(",")
-        json_rows = [dict(zip(keys, r)) for r in rows]
+        json_rows = [dict(zip(keys, r)) for r in records]
         emit_json({"kind": "interference", "law": law, "rows": json_rows}, out_path)
 
 
@@ -529,9 +524,8 @@ def _run_correspondence(config: dict, fmt: str, out_path: str, hbar: float) -> N
     j = _as_matrix(params["coherency"])
 
     try:
-        validate_coherency(j)
-        synthesis = synthesize_min_time(initial, target, energy, hbar=hbar)
         solution = optimal_rotation(j)
+        synthesis = synthesize_min_time(initial, target, energy, hbar=hbar)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -570,7 +564,7 @@ def run(kind: str, config: dict, args: argparse.Namespace) -> int:
                 f"config kind {config['kind']!r} does not match subcommand {kind!r}"
             )
         params = config["parameters"]
-        if args.degrees:
+        if getattr(args, "degrees", False):
             params = _convert_degrees(kind, params)
             config = dict(config, parameters=params)
         if kind in _HBAR_KINDS:
@@ -645,17 +639,19 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--tolerance", type=float, help="default tolerance for numerical gates"
             )
-        sub.add_argument(
-            "--degrees",
-            action="store_true",
-            help="interpret angle-valued config fields as degrees",
-        )
-        sub.add_argument(
-            "--seed",
-            type=int,
-            default=_DEFAULT_PROBE_SEED,
-            help="seed for classification probes",
-        )
+        if kind in _ANGLE_FIELDS:
+            sub.add_argument(
+                "--degrees",
+                action="store_true",
+                help="interpret angle-valued config fields as degrees",
+            )
+        if kind == "mueller":
+            sub.add_argument(
+                "--seed",
+                type=int,
+                default=_DEFAULT_PROBE_SEED,
+                help="seed for classification probes",
+            )
     return parser
 
 

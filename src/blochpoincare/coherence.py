@@ -131,11 +131,11 @@ def stokes_rotation_check(s, phi: float) -> ConstraintLedger:
     s = validate_stokes(s)
     after = mueller_rotator(phi) @ s
     scale = max(1.0, float(s[0]))
-    if abs(after[0] - s[0]) > 1e-10 * scale or abs(after[3] - s[3]) > 1e-10 * scale:
+    if not (abs(after[0] - s[0]) <= 1e-10 * scale and abs(after[3] - s[3]) <= 1e-10 * scale):
         raise RuntimeError("rotation failed to preserve the total/circular components")
     linear_before = s[1] ** 2 + s[2] ** 2
     linear_after = after[1] ** 2 + after[2] ** 2
-    if abs(linear_after - linear_before) > 1e-10 * scale**2:
+    if not abs(linear_after - linear_before) <= 1e-10 * scale**2:
         raise RuntimeError("rotation failed to preserve the linear-component length")
     return ConstraintLedger(
         i_pol_before=float(np.linalg.norm(s[1:])),
@@ -280,7 +280,7 @@ class CorrespondenceReport:
 def _check_pairing(quantum: QuantumScenario, optical: OpticalScenario) -> None:
     a = as_state(quantum.initial_state)
     b = as_state(quantum.final_state)
-    if abs(a[0] - 1.0) > 1e-9 or abs(a[1]) > 1e-9:
+    if not (abs(a[0] - 1.0) <= 1e-9 and abs(a[1]) <= 1e-9):
         raise ValueError(
             "mismatched scenario pairing: quantum side must be given in the "
             "working basis with initial state (1, 0)"
@@ -294,10 +294,10 @@ def _check_pairing(quantum: QuantumScenario, optical: OpticalScenario) -> None:
         )
     j = validate_coherency(optical.coherency)
     report = degree_of_polarization(j)
-    if abs(optical.rotation.p - report.p) > 1e-8:
+    if not abs(optical.rotation.p - report.p) <= 1e-8:
         raise ValueError("mismatched scenario pairing: rotation solution is for a different beam")
     i_pol = report.p * report.total_intensity
-    if abs(optical.ledger.i_pol_before - i_pol) > 1e-8 * max(1.0, i_pol):
+    if not abs(optical.ledger.i_pol_before - i_pol) <= 1e-8 * max(1.0, i_pol):
         raise ValueError("mismatched scenario pairing: ledger is for a different beam")
 
 

@@ -5,7 +5,9 @@ beams, and quantum probability amplitudes all combine as
 base + cross-term * cosine; the cross-term carries the degree of coherence,
 the half-separation cosine on the polarization sphere, or the state overlap
 respectively. The three coefficients coincide under the sphere
-correspondence, which ``analogy_triple`` checks numerically.
+correspondence, which ``analogy_triple`` checks numerically. Each law
+broadcasts over its angle, phase and amplitude arguments, so a sweep is one
+call; scalar arguments give a float.
 """
 
 from __future__ import annotations
@@ -16,44 +18,64 @@ from typing import Tuple
 import numpy as np
 
 from .bloch import as_state, bloch_vector, is_normalized, overlap
+from .numerics import _squares
 from .polarization import degree_of_polarization, validate_coherency
 
 
-def classical_intensity(j, theta: float, epsilon: float) -> float:
+def _value(result):
+    """A Python float for a 0-d result, the array otherwise."""
+    return float(result) if np.ndim(result) == 0 else result
+
+
+def _analyzer_terms(j, theta):
+    """I_x, I_y, 2 sqrt(I_x I_y) |j_xy| and beta_xy, all of J / 2**k, and k.
+
+    The laws are homogeneous in J: after validating J as given they are
+    evaluated on J / 2**k, whose largest entry lies in [1/2, 1), an exact
+    rescale that keeps I_x I_y clear of under- and overflow.
+    """
+    j = validate_coherency(j)
+    k = int(np.frexp(np.max(np.abs(j)))[1])
+    scaled = np.empty_like(j)
+    scaled.real, scaled.imag = np.ldexp(j.real, -k), np.ldexp(j.imag, -k)
+    report = degree_of_polarization(scaled)
+    i_x = scaled[0, 0].real * _squares(np.cos(theta))
+    i_y = scaled[1, 1].real * _squares(np.sin(theta))
+    product = i_x * i_y
+    cross = 2.0 * np.sqrt(np.where(product > 0.0, product, 0.0)) * report.coherence_magnitude
+    return i_x, i_y, cross, report.coherence_phase, k
+
+
+def classical_intensity(j, theta, epsilon):
     """Intensity of the field component along a rotated analyzer direction.
 
     I = I_x + I_y + 2 sqrt(I_x I_y) |j_xy| cos(beta_xy - epsilon) with
     I_x = J_xx cos^2(theta), I_y = J_yy sin^2(theta); epsilon is the phase
     delay applied to the y component.
     """
-    j = validate_coherency(j)
-    report = degree_of_polarization(j)
-    i_x = j[0, 0].real * np.cos(theta) ** 2
-    i_y = j[1, 1].real * np.sin(theta) ** 2
-    cross = 2.0 * np.sqrt(max(0.0, i_x * i_y)) * report.coherence_magnitude
-    return float(i_x + i_y + cross * np.cos(report.coherence_phase - epsilon))
+    i_x, i_y, cross, phase, k = _analyzer_terms(j, theta)
+    return _value(np.ldexp(i_x + i_y + cross * np.cos(phase - epsilon), k))
 
 
-def fringe_visibility(j, theta: float) -> float:
+def fringe_visibility(j, theta):
     """Fringe contrast 2 sqrt(I_x I_y)|j_xy| / (I_x + I_y) of the epsilon sweep.
 
     Equals the degree of coherence exactly when the two intensities match
     (theta = pi/4 on an equal-diagonal beam); that equality is the
-    operational meaning of |j_xy|.
+    operational meaning of |j_xy|. The error for angles at which both
+    intensities vanish names the first of them.
     """
-    j = validate_coherency(j)
-    report = degree_of_polarization(j)
-    i_x = j[0, 0].real * np.cos(theta) ** 2
-    i_y = j[1, 1].real * np.sin(theta) ** 2
+    i_x, i_y, cross, _, _ = _analyzer_terms(j, theta)
     total = i_x + i_y
-    if total <= 0.0:
-        raise ValueError("visibility undefined: both analyzer intensities vanish")
-    return float(2.0 * np.sqrt(max(0.0, i_x * i_y)) * report.coherence_magnitude / total)
+    if np.any(total <= 0.0):
+        angle = float(np.broadcast_to(theta, np.shape(total))[total <= 0.0][0])
+        raise ValueError(
+            f"angle {angle!r} rad: visibility undefined: both analyzer intensities vanish"
+        )
+    return _value(cross / total)
 
 
-def pancharatnam_intensity(
-    i_a: float, i_b: float, theta_poincare: float, delta: float
-) -> float:
+def pancharatnam_intensity(i_a, i_b, theta_poincare, delta):
     """Resultant intensity of two coherent elliptically polarized beams.
 
     I_C = I_A + I_B + 2 sqrt(I_A I_B) cos(theta/2) cos(delta), where theta is
@@ -62,15 +84,16 @@ def pancharatnam_intensity(
     input: relating it to component phase delays would need an extra x-phase
     absent from the single-beam model, so only this note records that link.
     """
-    if i_a < 0.0 or i_b < 0.0:
+    i_a, i_b, theta = (np.asarray(x, dtype=float) for x in (i_a, i_b, theta_poincare))
+    if np.any(i_a < 0.0) or np.any(i_b < 0.0):
         raise ValueError("intensities must be nonnegative")
-    if not 0.0 <= theta_poincare <= np.pi:
+    if not np.all((0.0 <= theta) & (theta <= np.pi)):
         raise ValueError("sphere separation must lie in [0, pi]")
-    cross = 2.0 * np.sqrt(i_a * i_b) * np.cos(theta_poincare / 2.0)
-    return float(i_a + i_b + cross * np.cos(delta))
+    cross = 2.0 * np.sqrt(i_a * i_b) * np.cos(theta / 2.0)
+    return _value(i_a + i_b + cross * np.cos(delta))
 
 
-def quantum_probability(a_amp: complex, b_amp: complex, state_a, state_b) -> float:
+def quantum_probability(a_amp, b_amp, state_a, state_b):
     """Squared norm of a_amp|A> + b_amp|B> via the interference law.
 
     p = |a|^2 + |b|^2 + 2|a||b| |<A|B>| cos(phi_AB - (phi_a - phi_b)).
@@ -80,12 +103,13 @@ def quantum_probability(a_amp: complex, b_amp: complex, state_a, state_b) -> flo
     sa, sb = as_state(state_a), as_state(state_b)
     if not (is_normalized(sa) and is_normalized(sb)):
         raise ValueError("branch states must be normalized")
-    a_amp, b_amp = complex(a_amp), complex(b_amp)
-    p_a, p_b = abs(a_amp) ** 2, abs(b_amp) ** 2
+    a_amp, b_amp = np.asarray(a_amp, dtype=complex), np.asarray(b_amp, dtype=complex)
+    p_a = _squares(np.hypot(a_amp.real, a_amp.imag))
+    p_b = _squares(np.hypot(b_amp.real, b_amp.imag))
     inner = overlap(sa, sb)
     phase = np.angle(inner) - (np.angle(a_amp) - np.angle(b_amp)) if inner != 0 else 0.0
     cross = 2.0 * np.sqrt(p_a * p_b) * abs(inner)
-    return float(p_a + p_b + cross * np.cos(phase))
+    return _value(p_a + p_b + cross * np.cos(phase))
 
 
 @dataclass(frozen=True)

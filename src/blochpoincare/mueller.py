@@ -31,18 +31,6 @@ A_MATRIX = np.array(
 # A is 2-orthogonal: A A^dagger = 2 I, so the inverse is exact.
 A_MATRIX_INVERSE = A_MATRIX.conj().T / 2.0
 
-# Unitary variant of the same change of basis; differs from A / sqrt(2) by a
-# sign flip of the circular-component row.
-U_STOKES = np.array(
-    [
-        [1, 0, 0, 1],
-        [1, 0, 0, -1],
-        [0, 1, 1, 0],
-        [0, 1j, -1j, 0],
-    ],
-    dtype=complex,
-) / np.sqrt(2.0)
-
 # Operator basis dual to the Stokes parameters S_i = tr(Xi_i J). The sign on
 # the last element matches S_3 = i (J_yx - J_xy); with +sigma_y the trace
 # construction would disagree with the A-matrix lift in the S_3 row/column.

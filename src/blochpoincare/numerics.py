@@ -1,7 +1,7 @@
 """Small fixed-size numerical kernels shared by the physics modules.
 
-Pauli matrices, the Hermiticity test and the closed-form SU(2) exponential,
-evaluated on a whole time vector at once.
+Pauli matrices, the Hermiticity test, the closed-form SU(2) exponential on a
+whole time vector at once, and the libm squaring the batched kernels share.
 Everything is pure: no global state, no randomness, bit-stable results for
 identical inputs.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -39,20 +39,33 @@ def pauli_components(matrix: np.ndarray) -> Tuple[float, float, float, float]:
     return a0, ax, ay, az
 
 
-def _pauli_norm(ax: float, ay: float, az: float) -> float:
-    """Euclidean norm of a Pauli vector, with no under- or overflow.
+def _squares(values) -> np.ndarray:
+    """Each value squared through libm ``pow``, as Python and numpy scalars square.
 
-    Where the plain sum of squares is a normal finite number it is used as
-    is; elsewhere the components are divided by the largest first.
+    numpy's array squaring rounds differently in the last bit of some values,
+    so batched kernels that match a one-point evaluation bit for bit square here.
+    """
+    x = np.asarray(values, dtype=float)
+    return np.array([math.pow(v, 2.0) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _pauli_axis(ax: float, ay: float, az: float) -> Tuple[float, Optional[np.ndarray]]:
+    """Norm of a Pauli vector and its unit axis dotted into sigma; (0.0, None) for 0.
+
+    Where the plain sum of squares is not a normal finite number, the norm is
+    taken on the components divided by the largest, and the axis is formed
+    from real quotients: numpy's complex division by a subnormal returns NaN.
     """
     squares = ax * ax + ay * ay + az * az
     if sys.float_info.min <= squares <= sys.float_info.max:
-        return math.sqrt(squares)
+        norm = math.sqrt(squares)
+        return norm, (ax * PAULI_X + ay * PAULI_Y + az * PAULI_Z) / norm
     scale = max(abs(ax), abs(ay), abs(az))
     if scale == 0.0:
-        return 0.0
+        return 0.0, None
     x, y, z = ax / scale, ay / scale, az / scale
-    return scale * math.sqrt(x * x + y * y + z * z)
+    norm = scale * math.sqrt(x * x + y * y + z * z)
+    return norm, (ax / norm) * PAULI_X + (ay / norm) * PAULI_Y + (az / norm) * PAULI_Z
 
 
 def su2_propagators(
@@ -71,7 +84,7 @@ def su2_propagators(
     if not is_hermitian(h, tol):
         raise ValueError("generator must be Hermitian")
     a0, ax, ay, az = pauli_components(h)
-    norm = _pauli_norm(ax, ay, az)
+    norm, axis_dot_sigma = _pauli_axis(ax, ay, az)
     t = np.asarray(times, dtype=float).reshape(-1)
     # A real exponent first: the complex form -1j * a0 * t / hbar would divide
     # by hbar through its reciprocal on arrays.
@@ -79,7 +92,6 @@ def su2_propagators(
     if norm == 0.0:
         return phase * IDENTITY2
     angle = (norm * t / hbar)[:, None, None]
-    axis_dot_sigma = (ax * PAULI_X + ay * PAULI_Y + az * PAULI_Z) / norm
     return phase * (np.cos(angle) * IDENTITY2 - 1j * np.sin(angle) * axis_dot_sigma)
 
 

@@ -22,12 +22,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .bloch import as_state, fubini_study_angle, is_normalized, normalize, overlap
-from .numerics import (
-    is_hermitian,
-    matrix_exponential_su2,
-    pauli_components,
-    su2_propagators,
-)
+from .numerics import is_hermitian, pauli_components, su2_propagators
 
 _ENDPOINT_TOL = 1e-10
 _DEGENERATE_OVERLAP_TOL = 1e-12
@@ -89,14 +84,6 @@ class Hamiltonian2:
         """Norm of the Pauli vector; equals half the eigenvalue gap."""
         return float(np.linalg.norm(self.pauli_vector))
 
-    @property
-    def axis(self) -> np.ndarray:
-        """Unit rotation axis on the sphere; undefined for multiples of I."""
-        norm = self.strength
-        if norm == 0.0:
-            raise ValueError("axis undefined: Hamiltonian is a multiple of the identity")
-        return self.pauli_vector / norm
-
     def traceless(self) -> np.ndarray:
         """The matrix with its trace part removed (same generated physics)."""
         return self.matrix - self.trace_part * np.eye(2)
@@ -120,10 +107,6 @@ class EfficiencyReport:
     geodesic_length: float
     path_length: float
     eta_qm: float
-
-
-def evolution_operator(h: Hamiltonian2, t: float, hbar: float = 1.0) -> np.ndarray:
-    return matrix_exponential_su2(h.matrix, t, hbar=hbar)
 
 
 def evolve_states(h: Hamiltonian2, state, times, hbar: float = 1.0) -> np.ndarray:

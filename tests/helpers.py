@@ -4,14 +4,17 @@ Oracles here deliberately avoid the library code paths they are used to
 check: the matrix exponential is a scaled-and-squared Taylor series,
 coherency rotations are spelled out entrywise, maxima come from a grid search
 with golden-section refinement, and period averages from the trapezoid rule.
-The scalar SU(2) exponential, Bloch vector and fidelity are the one-state
-evaluations the batched kernels must reproduce bit for bit.
+The scalar SU(2) exponential, Bloch vector, fidelity and the four
+one-point interference laws are the evaluations the batched kernels must
+reproduce bit for bit.
 """
 
+import sys
 from typing import Callable, Tuple
 
 import numpy as np
 
+from blochpoincare.bloch import as_state, is_normalized, overlap
 from blochpoincare.numerics import (
     IDENTITY2,
     PAULI_X,
@@ -20,6 +23,19 @@ from blochpoincare.numerics import (
     is_hermitian,
     pauli_components,
 )
+from blochpoincare.polarization import degree_of_polarization, validate_coherency
+
+# Unitary variant of the Stokes change of basis A_MATRIX; differs from
+# A / sqrt(2) by a sign flip of the circular-component row.
+U_STOKES = np.array(
+    [
+        [1, 0, 0, 1],
+        [1, 0, 0, -1],
+        [0, 1, 1, 0],
+        [0, 1j, -1j, 0],
+    ],
+    dtype=complex,
+) / np.sqrt(2.0)
 
 
 def random_state(rng):
@@ -245,12 +261,24 @@ def scalar_su2_exponential(hamiltonian, time, hbar=1.0, tol=1e-12):
     if not is_hermitian(h, tol):
         raise ValueError("generator must be Hermitian")
     a0, ax, ay, az = pauli_components(h)
-    norm = float(np.sqrt(ax * ax + ay * ay + az * az))
-    angle = norm * time / hbar
     phase = np.exp(-1j * a0 * time / hbar)
+    squares = ax * ax + ay * ay + az * az
+    plain = sys.float_info.min <= squares <= sys.float_info.max
+    if plain:
+        norm = float(np.sqrt(squares))
+    else:
+        # The sum of squares under- or overflows: scale by the largest component.
+        scale = max(abs(ax), abs(ay), abs(az)) or 1.0
+        x, y, z = ax / scale, ay / scale, az / scale
+        norm = scale * float(np.sqrt(x * x + y * y + z * z))
     if norm == 0.0:
         return phase * IDENTITY2
-    axis_dot_sigma = (ax * PAULI_X + ay * PAULI_Y + az * PAULI_Z) / norm
+    if plain:
+        axis_dot_sigma = (ax * PAULI_X + ay * PAULI_Y + az * PAULI_Z) / norm
+    else:
+        # Real quotients: complex division by a subnormal norm returns NaN.
+        axis_dot_sigma = (ax / norm) * PAULI_X + (ay / norm) * PAULI_Y + (az / norm) * PAULI_Z
+    angle = norm * time / hbar
     return phase * (np.cos(angle) * IDENTITY2 - 1j * np.sin(angle) * axis_dot_sigma)
 
 
@@ -264,6 +292,51 @@ def scalar_bloch_vector(state):
 def scalar_fidelity(a, b):
     """|<a|b>|^2 of two states, on a Python complex."""
     return abs(complex(np.vdot(a, b))) ** 2
+
+
+def scalar_classical_intensity(j, theta, epsilon):
+    """The classical law at one analyzer angle and phase delay, on numpy scalars."""
+    j = validate_coherency(j)
+    report = degree_of_polarization(j)
+    i_x = j[0, 0].real * np.cos(theta) ** 2
+    i_y = j[1, 1].real * np.sin(theta) ** 2
+    cross = 2.0 * np.sqrt(max(0.0, i_x * i_y)) * report.coherence_magnitude
+    return float(i_x + i_y + cross * np.cos(report.coherence_phase - epsilon))
+
+
+def scalar_fringe_visibility(j, theta):
+    """The fringe visibility at one analyzer angle, on numpy scalars."""
+    j = validate_coherency(j)
+    report = degree_of_polarization(j)
+    i_x = j[0, 0].real * np.cos(theta) ** 2
+    i_y = j[1, 1].real * np.sin(theta) ** 2
+    total = i_x + i_y
+    if total <= 0.0:
+        raise ValueError("visibility undefined: both analyzer intensities vanish")
+    return float(2.0 * np.sqrt(max(0.0, i_x * i_y)) * report.coherence_magnitude / total)
+
+
+def scalar_pancharatnam_intensity(i_a, i_b, theta_poincare, delta):
+    """The two-beam sphere-separation law at one point, on Python floats."""
+    if i_a < 0.0 or i_b < 0.0:
+        raise ValueError("intensities must be nonnegative")
+    if not 0.0 <= theta_poincare <= np.pi:
+        raise ValueError("sphere separation must lie in [0, pi]")
+    cross = 2.0 * np.sqrt(i_a * i_b) * np.cos(theta_poincare / 2.0)
+    return float(i_a + i_b + cross * np.cos(delta))
+
+
+def scalar_quantum_probability(a_amp, b_amp, state_a, state_b):
+    """The quantum law for one amplitude pair, on Python complex numbers."""
+    sa, sb = as_state(state_a), as_state(state_b)
+    if not (is_normalized(sa) and is_normalized(sb)):
+        raise ValueError("branch states must be normalized")
+    a_amp, b_amp = complex(a_amp), complex(b_amp)
+    p_a, p_b = abs(a_amp) ** 2, abs(b_amp) ** 2
+    inner = overlap(sa, sb)
+    phase = np.angle(inner) - (np.angle(a_amp) - np.angle(b_amp)) if inner != 0 else 0.0
+    cross = 2.0 * np.sqrt(p_a * p_b) * abs(inner)
+    return float(p_a + p_b + cross * np.cos(phase))
 
 
 def bitwise_equal(a, b):

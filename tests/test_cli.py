@@ -15,6 +15,12 @@ from blochpoincare.speed_limit import (
     synthesize_max_uncertainty,
     synthesize_min_time,
 )
+from helpers import (
+    scalar_classical_intensity,
+    scalar_fringe_visibility,
+    scalar_pancharatnam_intensity,
+    scalar_quantum_probability,
+)
 
 HALF = 1.0 / np.sqrt(2.0)
 
@@ -454,12 +460,29 @@ def test_fields_no_runner_reads_are_rejected(tmp_path, capsys, kind, config, mes
 
 
 
-@pytest.mark.parametrize("kind", ["optimize-coherence", "mueller", "interference"])
-@pytest.mark.parametrize("flag", ["--hbar", "--tolerance"])
+_UNREAD_FLAGS = {
+    "--hbar": ("optimize-coherence", "mueller", "interference"),
+    "--tolerance": ("optimize-coherence", "mueller", "interference"),
+    "--seed": ("evolve", "optimize-coherence", "interference", "correspondence"),
+    "--degrees": ("evolve", "optimize-coherence", "correspondence"),
+}
+
+
+@pytest.mark.parametrize(
+    "flag, kind", [(flag, kind) for flag, kinds in _UNREAD_FLAGS.items() for kind in kinds]
+)
 def test_flags_no_runner_reads_are_not_accepted(kind, flag):
+    value = {"--seed": ["7"], "--degrees": []}.get(flag, ["1e-30"])
     with pytest.raises(SystemExit) as exc:
-        cli.build_parser().parse_args([kind, "--config", "-", flag, "1e-30"])
+        cli.build_parser().parse_args([kind, "--config", "-", flag, *value])
     assert exc.value.code == cli.EXIT_SCHEMA
+
+
+def test_seed_and_degrees_are_accepted_where_read():
+    parser = cli.build_parser()
+    args = parser.parse_args(["mueller", "--config", "-", "--seed", "7", "--degrees"])
+    assert (args.seed, args.degrees) == (7, True)
+    assert parser.parse_args(["interference", "--config", "-", "--degrees"]).degrees
 
 
 def _reference_trajectory(params, hbar, fmt):
@@ -539,6 +562,163 @@ def test_evolve_at_extreme_energies(tmp_path, route, energy):
     quarter_turns = 2.0 if route == Route.TIME_MINIMIZATION.value else 1.0
     assert last[0] * energy == pytest.approx(quarter_turns * np.pi / 4.0, rel=1e-12)
     assert last[-1] >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("route", [r.value for r in Route])
+def test_evolve_at_a_subnormal_energy(tmp_path, route):
+    # e0 t / hbar stays finite with a small hbar; the Pauli norm is subnormal.
+    params = dict(EVOLVE_CONFIG["parameters"], energy=1e-310, route=route, samples=5)
+    config = write_config(tmp_path, {"hbar": 1e-10, "parameters": params})
+    out = tmp_path / "trajectory.csv"
+    argv = ["evolve", "--config", str(config), "--output", str(out), "--format", "csv"]
+    assert cli.main(argv) == cli.EXIT_OK
+    last = [float(x) for x in out.read_text().splitlines()[-1].split(",")]
+    quarter_turns = 2.0 if route == Route.TIME_MINIMIZATION.value else 1.0
+    assert last[0] * 1e-310 / 1e-10 == pytest.approx(quarter_turns * np.pi / 4.0, rel=1e-12)
+    assert last[-1] >= 1.0 - 1e-12
+
+
+INTERFERENCE_SWEEPS = {
+    "classical": {
+        "law": "classical",
+        "coherency": [[[2.0, 0.0], [0.6, 0.8]], [[0.6, -0.8], [1.0, 0.0]]],
+        "analyzer_angles": {"start": 0.05, "stop": 1.5, "count": 37},
+        "phase_delays": {"start": 0.0, "stop": 2.0 * np.pi, "count": 41},
+    },
+    "pancharatnam": {
+        "law": "pancharatnam",
+        "intensity_a": 1.7,
+        "intensity_b": 0.4,
+        "sphere_angles": {"start": 0.0, "stop": np.pi, "count": 31},
+        "phase_advances": {"start": -np.pi, "stop": np.pi, "count": 33},
+    },
+    "quantum": {
+        "law": "quantum",
+        "state_a": [[0.6, 0.0], [0.0, 0.8]],
+        "state_b": [[HALF, 0.0], [0.0, -HALF]],
+        "amp_a": [0.3, -0.7],
+        "amp_b_modulus": 1.2,
+        "relative_phases": {"start": 0.0, "stop": 2.0 * np.pi, "count": 257},
+    },
+}
+
+
+def _reference_interference(params, fmt):
+    """The interference output rendered row by row through the one-point oracles."""
+
+    def grid(name):
+        spec = params[name]
+        return [float(x) for x in np.linspace(spec["start"], spec["stop"], spec["count"])]
+
+    def vector(entries):
+        return np.array([complex(*v) for v in entries])
+
+    law = params["law"]
+    if law == "classical":
+        j = np.array([vector(row) for row in params["coherency"]])
+        header = "theta,epsilon,intensity,visibility"
+        rows = [
+            (t, e, scalar_classical_intensity(j, t, e), scalar_fringe_visibility(j, t))
+            for t in grid("analyzer_angles")
+            for e in grid("phase_delays")
+        ]
+    elif law == "pancharatnam":
+        i_a, i_b = params["intensity_a"], params["intensity_b"]
+        header = "theta_poincare,delta,intensity"
+        rows = [
+            (t, d, scalar_pancharatnam_intensity(i_a, i_b, t, d))
+            for t in grid("sphere_angles")
+            for d in grid("phase_advances")
+        ]
+    else:
+        state_a, state_b = vector(params["state_a"]), vector(params["state_b"])
+        amp_a = complex(*params["amp_a"])
+        header = "relative_phase,probability,direct_norm"
+        rows = []
+        for phase in grid("relative_phases"):
+            amp_b = params["amp_b_modulus"] * np.exp(1j * phase)
+            direct = float(np.linalg.norm(amp_a * state_a + amp_b * state_b) ** 2)
+            rows.append((phase, scalar_quantum_probability(amp_a, amp_b, state_a, state_b), direct))
+    if fmt == "csv":
+        return cli.render_csv(header, rows)
+    keys = header.split(",")
+    return cli.render_json(
+        {
+            "kind": "interference",
+            "law": law,
+            "rows": [dict(zip(keys, r)) for r in rows],
+            "version": cli.__version__,
+        }
+    )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("law", sorted(INTERFERENCE_SWEEPS))
+def test_interference_output_is_bytewise_the_row_by_row_reference(tmp_path, law, fmt):
+    params = INTERFERENCE_SWEEPS[law]
+    config = write_config(tmp_path, {"parameters": params})
+    out = tmp_path / f"sweep.{fmt}"
+    argv = ["interference", "--config", str(config), "--output", str(out), "--format", fmt]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert out.read_text() == _reference_interference(params, fmt)
+
+
+# Unless J is rescaled, I_x I_y underflows at these scales (a wrong row at
+# 1e-170, the 4th digit at 1e-160) or overflows (1e160).
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160])
+def test_classical_sweep_is_scale_free(tmp_path, scale):
+    coherency = [[[1.0, 0.0], [0.3, 0.2]], [[0.3, -0.2], [0.5, 0.0]]]
+    params = {
+        "law": "classical",
+        "analyzer_angles": {"start": 0.7, "stop": 0.7, "count": 1},
+        "phase_delays": {"start": 0.4, "stop": 0.4, "count": 1},
+    }
+    rows = []
+    for c in (1.0, scale):
+        scaled = [[[c * x for x in entry] for entry in row] for row in coherency]
+        config = write_config(tmp_path, {"parameters": dict(params, coherency=scaled)})
+        out = tmp_path / "sweep.json"
+        argv = ["interference", "--config", str(config), "--output", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        rows.append(json.loads(out.read_text())["rows"][0])
+    unit, scaled_row = rows
+    assert unit["intensity"] == pytest.approx(1.1415, abs=1e-4)
+    assert scaled_row["intensity"] == pytest.approx(scale * unit["intensity"], rel=1e-12)
+    assert scaled_row["visibility"] == pytest.approx(unit["visibility"], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "params, field",
+    [
+        (
+            dict(
+                INTERFERENCE_SWEEPS["pancharatnam"],
+                sphere_angles={"start": 0.0, "stop": 4.0, "count": 3},
+            ),
+            "config field 'parameters/sphere_angles': sphere separation must lie in [0, pi]",
+        ),
+        (
+            dict(INTERFERENCE_SWEEPS["quantum"], state_a=[[1.0, 0.0], [0.5, 0.0]]),
+            "config fields 'parameters/state_a' and 'parameters/state_b': "
+            "branch states must be normalized",
+        ),
+        (
+            dict(
+                INTERFERENCE_SWEEPS["classical"],
+                coherency=[[[1.7e308, 0.0], [5e307, 0.0]], [[5e307, 0.0], [1.7e308, 0.0]]],
+            ),
+            "config field 'parameters/coherency': the intensities overflow",
+        ),
+    ],
+    ids=["sphere-angle", "unnormalized-state", "overflowing-coherency"],
+)
+def test_interference_law_domain_errors_are_config_errors(tmp_path, capsys, params, field):
+    config = write_config(tmp_path, {"parameters": params})
+    out = tmp_path / "sweep.json"
+    argv = ["interference", "--config", str(config), "--output", str(out)]
+    assert cli.main(argv) == cli.EXIT_SCHEMA
+    assert capsys.readouterr().err.strip() == f"error: {field}"
+    assert not out.exists()
 
 
 def test_vanishing_analyzer_intensities_are_a_config_error(tmp_path, capsys):

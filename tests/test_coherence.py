@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,11 @@ def test_rotation_ledger_identity_angle():
     assert ledger.s1_sq_before == ledger.s1_sq_after
 
 
+def test_rotation_ledger_rejects_a_nan_angle():
+    with pytest.raises(RuntimeError, match="preserve"):
+        stokes_rotation_check(np.array([2.0, 0.5, 0.3, 0.1]), np.nan)
+
+
 def test_rotation_ledger_quarter_turn_on_linear_light():
     ledger = stokes_rotation_check(np.array([1.0, 1.0, 0.0, 0.0]), np.pi / 4.0)
     assert abs(ledger.s1_sq_after) < 1e-15
@@ -293,3 +300,12 @@ def test_mismatched_pairing_is_rejected():
     )
     with pytest.raises(ValueError, match="pairing"):
         correspondence_report(quantum, tampered)
+
+
+def test_pairing_with_a_nan_polarization_is_rejected():
+    optical = make_optical_scenario()
+    tampered = dataclasses.replace(
+        optical, rotation=dataclasses.replace(optical.rotation, p=float("nan"))
+    )
+    with pytest.raises(ValueError, match="rotation solution is for a different beam"):
+        correspondence_report(make_quantum_scenario(), tampered)

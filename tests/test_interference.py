@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochpoincare.interference import (
     analogy_triple,
@@ -9,7 +11,16 @@ from blochpoincare.interference import (
     quantum_probability,
 )
 from blochpoincare.polarization import degree_of_polarization, rotate_coherency
-from helpers import random_coherency, random_state, time_average_quadrature
+from helpers import (
+    bitwise_equal,
+    random_coherency,
+    random_state,
+    scalar_classical_intensity,
+    scalar_fringe_visibility,
+    scalar_pancharatnam_intensity,
+    scalar_quantum_probability,
+    time_average_quadrature,
+)
 
 J_WORKED = np.array([[3.0, 1.0], [1.0, 1.0]], dtype=complex)
 HALF = 1.0 / np.sqrt(2.0)
@@ -69,6 +80,26 @@ def test_classical_intensity_nonnegative():
         theta = rng.uniform(0.0, np.pi / 2.0)
         eps = rng.uniform(0.0, 2.0 * np.pi)
         assert classical_intensity(j, theta, eps) >= -1e-12
+
+
+def test_visibility_names_the_first_angle_where_both_intensities_vanish():
+    j = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(ValueError, match=r"^angle 0\.0 rad: visibility undefined"):
+        fringe_visibility(j, [0.3, 0.0, np.pi, 0.0])
+    with pytest.raises(ValueError, match=r"^angle 0\.0 rad"):
+        fringe_visibility(j, 0.0)
+
+
+@pytest.mark.parametrize("scale_exponent", range(-300, 301, 50))
+def test_classical_law_is_scale_free(scale_exponent):
+    # The law is homogeneous of degree one in J, the visibility of degree zero.
+    c = 10.0**scale_exponent
+    j = np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 0.5]])
+    theta = np.linspace(0.05, 1.5, 7)[:, None]
+    epsilon = np.linspace(0.0, 2.0 * np.pi, 5)
+    expected = classical_intensity(j, theta, epsilon)
+    assert classical_intensity(c * j, theta, epsilon) == pytest.approx(c * expected, rel=1e-12)
+    assert fringe_visibility(c * j, theta) == pytest.approx(fringe_visibility(j, theta), rel=1e-12)
 
 
 def test_visibility_equals_coherence_at_equal_intensities():
@@ -145,6 +176,79 @@ def test_quantum_probability_is_an_identity():
         law = quantum_probability(amp_a, amp_b, sa, sb)
         direct = np.linalg.norm(amp_a * sa + amp_b * sb) ** 2
         assert abs(law - direct) < 1e-12 * max(1.0, direct)
+
+
+# ---------------------------------------------------------------------------
+# Broadcast laws against the one-point oracles
+# ---------------------------------------------------------------------------
+
+# Many random points per example: array squaring differs from libm pow in
+# roughly one value in a thousand, and these properties must catch it.
+_POINTS = 200
+# Angles whose squared sine is 0 or a normal double: below about 1e-154 it is
+# subnormal, and the power-of-two rescale of J no longer commutes with rounding.
+_ANGLES = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.floats(min_value=1e-150, max_value=10.0),
+        st.floats(min_value=-10.0, max_value=-1e-150),
+    ),
+    max_size=5,
+)
+_SEED = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=_SEED, extra=_ANGLES)
+def test_classical_laws_are_bitwise_the_one_point_oracles(seed, extra):
+    rng = np.random.default_rng(seed)
+    j = random_coherency(rng)
+    theta = np.concatenate((extra, rng.uniform(-2.0 * np.pi, 2.0 * np.pi, _POINTS)))
+    epsilon = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 2)
+    intensity = classical_intensity(j, theta[:, None], epsilon)
+    visibility = fringe_visibility(j, theta)
+    expected = [[scalar_classical_intensity(j, t, e) for e in epsilon] for t in theta]
+    assert bitwise_equal(intensity, np.array(expected).reshape(len(theta), len(epsilon)))
+    assert bitwise_equal(visibility, np.array([scalar_fringe_visibility(j, t) for t in theta]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=_SEED,
+    i_a=st.floats(min_value=0.0, max_value=1e6),
+    i_b=st.floats(min_value=0.0, max_value=1e6),
+    extra=_ANGLES,
+)
+def test_pancharatnam_law_is_bitwise_the_one_point_oracle(seed, i_a, i_b, extra):
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, np.pi, _POINTS)
+    delta = np.concatenate((extra, rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 3)))
+    intensity = pancharatnam_intensity(i_a, i_b, theta[:, None], delta)
+    expected = [[scalar_pancharatnam_intensity(i_a, i_b, t, d) for d in delta] for t in theta]
+    assert bitwise_equal(intensity, np.array(expected).reshape(len(theta), len(delta)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=_SEED, amplitude_scale=st.floats(min_value=1e-3, max_value=1e3))
+def test_quantum_law_is_bitwise_the_one_point_oracle(seed, amplitude_scale):
+    rng = np.random.default_rng(seed)
+    sa, sb = random_state(rng), random_state(rng)
+    parts = rng.normal(size=(2, 2, _POINTS))
+    a_amp, b_amp = amplitude_scale * (parts[0] + 1j * parts[1])
+    probability = quantum_probability(a_amp, b_amp, sa, sb)
+    expected = [scalar_quantum_probability(a, b, sa, sb) for a, b in zip(a_amp, b_amp)]
+    assert bitwise_equal(probability, np.array(expected))
+
+
+def test_scalar_arguments_give_python_floats():
+    state = np.array([1.0, 0.0])
+    values = (
+        classical_intensity(J_WORKED, 0.3, 0.1),
+        fringe_visibility(J_WORKED, 0.3),
+        pancharatnam_intensity(1.0, 2.0, 0.5, 0.1),
+        quantum_probability(0.5, 0.5j, state, state),
+    )
+    assert all(type(value) is float for value in values)
 
 
 # ---------------------------------------------------------------------------

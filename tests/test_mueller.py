@@ -4,7 +4,6 @@ import pytest
 from blochpoincare.mueller import (
     A_MATRIX,
     A_MATRIX_INVERSE,
-    U_STOKES,
     MuellerClass,
     classify_mueller,
     mueller_from_jones,
@@ -15,7 +14,7 @@ from blochpoincare.polarization import (
     stokes_from_coherency,
     validate_stokes,
 )
-from helpers import random_coherency, random_state, random_su2, random_unitary
+from helpers import U_STOKES, random_coherency, random_state, random_su2, random_unitary
 
 J_WORKED = np.array([[3.0, 1.0], [1.0, 1.0]], dtype=complex)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blochpoincare.numerics import (
@@ -169,6 +169,8 @@ def test_propagator_rows_are_bitwise_the_scalar_exponential(components, times, h
     times=st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=20),
     hbar=st.floats(min_value=1e-3, max_value=1e3).filter(lambda x: x != 1.0),
 )
+# A subnormal Pauli norm, by which numpy's complex division returns NaN.
+@example(components=(0.0, 0.0, 0.0, 2.2250738585e-313), seed=0, times=[0.0], hbar=2.0)
 def test_evolved_states_are_bitwise_the_scalar_propagator_applied(components, seed, times, hbar):
     a0, ax, ay, az = components
     h = np.array([[a0 + az, complex(ax, -ay)], [complex(ax, ay), a0 - az]])
