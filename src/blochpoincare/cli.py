@@ -51,10 +51,11 @@ from .mueller import (
     mueller_rotator,
     wigner_rotation,
 )
-from .numerics import _squares
+from .numerics import _squares, gate
 from .polarization import rotate_coherency, stokes_from_coherency
 from .speed_limit import (
     Route,
+    UnrepresentableTimeError,
     efficiency,
     evolve_states,
     synthesize_max_uncertainty,
@@ -301,9 +302,9 @@ def _matrix_payload(m: np.ndarray) -> list:
 def _gate_endpoint_fidelity(config: dict, value: float) -> None:
     """Fail when the endpoint fidelity ``value`` is below 1 minus the config's gate."""
     tolerances = config.get("tolerances", {})
-    gate = float(tolerances.get("endpoint_fidelity", tolerances.get("default", 1e-9)))
-    if not value >= 1.0 - gate:
-        raise NumericalGateError(f"endpoint fidelity {value!r} below gate 1 - {gate!r}")
+    tol = float(tolerances.get("endpoint_fidelity", tolerances.get("default", 1e-9)))
+    message = f"endpoint fidelity {value!r} below gate 1 - {tol!r}"
+    gate(-value, -(1.0 - tol), message, NumericalGateError)
 
 
 def _run_evolve(config: dict, fmt: str, out_path: str, hbar: float) -> None:
@@ -319,14 +320,15 @@ def _run_evolve(config: dict, fmt: str, out_path: str, hbar: float) -> None:
             result = synthesize_min_time(initial, target, energy, hbar=hbar)
         else:
             result = synthesize_max_uncertainty(initial, target, energy, hbar=hbar)
+    except UnrepresentableTimeError as exc:
+        raise ConfigError(f"config fields 'parameters/energy' and 'hbar': {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     times = np.linspace(0.0, result.t_min, samples)
     states = evolve_states(result.hamiltonian, initial, times, hbar=hbar)
-    norms = np.vecdot(states, states).real
-    if not np.all(np.abs(norms - 1.0) <= 1e-10):
-        raise NumericalGateError("trajectory sample lost normalization")
+    drift = np.max(np.abs(np.vecdot(states, states).real - 1.0))
+    gate(drift, 1e-10, "trajectory sample lost normalization", NumericalGateError)
     _gate_endpoint_fidelity(config, fidelity(target, states[-1]))
     if not np.all(times[1:] > times[:-1]):
         raise NumericalGateError("trajectory times are not strictly increasing")
@@ -377,8 +379,8 @@ def _run_optimize(config: dict, fmt: str, out_path: str) -> None:
 
     # optimal_rotation gates the equalized diagonal and the coherence at P;
     # this absolute bound on the polarized intensity is tighter than the ledger's.
-    if not abs(ledger.i_pol_after - ledger.i_pol_before) <= 1e-9:
-        raise NumericalGateError("polarized intensity not conserved")
+    conserved = abs(ledger.i_pol_after - ledger.i_pol_before)
+    gate(conserved, 1e-9, "polarized intensity not conserved", NumericalGateError)
 
     emit_json(
         {
@@ -424,16 +426,15 @@ def _run_mueller(config: dict, fmt: str, out_path: str, seed: int) -> None:
     }
     if is_unitary(jones):
         rotation = wigner_rotation(jones)
-        if not np.max(np.abs(rotation - lifted)) <= 1e-10:
-            raise NumericalGateError(
-                "trace-form rotation lift disagrees with the Kronecker lift"
-            )
+        message = "trace-form rotation lift disagrees with the Kronecker lift"
+        gate(np.max(np.abs(rotation - lifted)), 1e-10, message, NumericalGateError)
         payload["wigner_rotation"] = _matrix_payload(rotation)
     if "rotator_angle" in params:
-        payload["rotator_angle"] = float(params["rotator_angle"])
-        payload["mueller_rotator"] = _matrix_payload(
-            mueller_rotator(float(params["rotator_angle"]))
-        )
+        angle = float(params["rotator_angle"])
+        if not math.isfinite(2.0 * angle):
+            raise ConfigError(f"config field 'parameters/rotator_angle': 2 * {angle!r} overflows")
+        payload["rotator_angle"] = angle
+        payload["mueller_rotator"] = _matrix_payload(mueller_rotator(angle))
     emit_json(payload, out_path)
 
 
@@ -467,8 +468,8 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
             raise ConfigError(f"config field 'parameters/analyzer_angles': {exc}") from exc
         if not np.all(np.isfinite(intensity)):
             raise ConfigError("config field 'parameters/coherency': the intensities overflow")
-        if not np.all(intensity >= -1e-12):
-            raise NumericalGateError("negative intensity in classical sweep")
+        message = "negative intensity in classical sweep"
+        gate(np.max(-intensity), 1e-12, message, NumericalGateError)
         columns = (theta, epsilon, intensity, visibility)
         header = "theta,epsilon,intensity,visibility"
     elif law == "pancharatnam":
@@ -499,8 +500,9 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
         # np.linalg.norm of each row, bit for bit, squared as its scalar result squares.
         v = amp_a * state_a + amp_b[:, None] * state_b
         direct = _squares(np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag)))
-        if not np.all(np.abs(probability - direct) <= 1e-12 * np.maximum(1.0, direct)):
-            raise NumericalGateError("interference law deviates from direct norm")
+        # The largest excess of |p - direct| over its row's bound; a - b <= 0 iff a <= b.
+        excess = np.max(np.abs(probability - direct) - 1e-12 * np.maximum(1.0, direct))
+        gate(excess, 0.0, "interference law deviates from direct norm", NumericalGateError)
         columns = (phases, probability, direct)
         header = "relative_phase,probability,direct_norm"
 
@@ -526,8 +528,13 @@ def _run_correspondence(config: dict, fmt: str, out_path: str, hbar: float) -> N
     try:
         solution = optimal_rotation(j)
         synthesis = synthesize_min_time(initial, target, energy, hbar=hbar)
+    except UnrepresentableTimeError as exc:
+        raise ConfigError(f"config fields 'parameters/energy' and 'hbar': {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    gap = synthesis.hamiltonian.gap
+    if not math.isfinite(gap * gap):
+        raise ConfigError(f"config field 'parameters/energy': the gap {gap!r} overflows when squared")
 
     times = np.linspace(0.0, synthesis.t_min, samples)
     trajectory = evolve_states(synthesis.hamiltonian, initial, times, hbar=hbar)
@@ -539,7 +546,10 @@ def _run_correspondence(config: dict, fmt: str, out_path: str, hbar: float) -> N
     )
     ledger = stokes_rotation_check(stokes_from_coherency(j), solution.phi_opt)
     optical = OpticalScenario(coherency=j, rotation=solution, ledger=ledger)
-    report = correspondence_report(quantum, optical)
+    try:
+        report = correspondence_report(quantum, optical)
+    except ValueError as exc:
+        raise ConfigError(f"config field 'parameters/coherency': {exc}") from exc
 
     sys.stdout.write(report.as_table() + "\n")
     payload = {
@@ -573,8 +583,6 @@ def run(kind: str, config: dict, args: argparse.Namespace) -> int:
                 tolerances["default"] = args.tolerance
                 config = dict(config, tolerances=tolerances)
             hbar = float(args.hbar if args.hbar is not None else config.get("hbar", 1.0))
-            if hbar <= 0.0:
-                raise ConfigError("hbar must be positive")
 
         output = config.get("output", {})
         out_path = args.output or output.get("path", "-")
@@ -602,6 +610,23 @@ def run(kind: str, config: dict, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _finite_number(literal: str, parse=float):
+    """``parse(literal)``, refusing NaN, Infinity and literals beyond the double range."""
+    if not math.isfinite(float(literal)):
+        raise ConfigError(f"config value {literal} is not a finite number")
+    return parse(literal)
+
+
+_finite_int = functools.partial(_finite_number, parse=int)
+
+
+def positive_float(text: str) -> float:
+    """argparse type of --hbar and --tolerance: positive and finite, as in a config."""
+    if not 0.0 < (value := float(text)) < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
 def _load_config(path: str):
     try:
         if path == "-":
@@ -611,7 +636,9 @@ def _load_config(path: str):
     except OSError as exc:
         raise IOError(f"cannot read config {path!r}: {exc}") from exc
     try:
-        config = json.loads(raw)
+        config = json.loads(
+            raw, parse_constant=_finite_number, parse_float=_finite_number, parse_int=_finite_int
+        )
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, (dict, list)):
@@ -635,9 +662,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--output", help="output path, or - for stdout")
         sub.add_argument("--format", choices=["json", "csv"], help="output format")
         if kind in _HBAR_KINDS:
-            sub.add_argument("--hbar", type=float, help="value of hbar (default 1)")
+            sub.add_argument("--hbar", type=positive_float, help="value of hbar (default 1)")
             sub.add_argument(
-                "--tolerance", type=float, help="default tolerance for numerical gates"
+                "--tolerance", type=positive_float, help="default tolerance for numerical gates"
             )
         if kind in _ANGLE_FIELDS:
             sub.add_argument(

@@ -17,6 +17,7 @@ import numpy as np
 
 from .bloch import as_state, fidelity, orthogonal_state, overlap
 from .mueller import mueller_rotator
+from .numerics import gate
 from .polarization import (
     degree_of_polarization,
     rotate_coherency,
@@ -101,10 +102,10 @@ def optimal_rotation(j) -> RotationSolution:
     rotated = rotate_coherency(j, phi)
     after = degree_of_polarization(rotated)
     scale = max(1.0, report.total_intensity)
-    if abs((rotated[0, 0] - rotated[1, 1]).real) > 1e-9 * scale:
-        raise RuntimeError("rotated frame failed to equalize the diagonal intensities")
-    if abs(after.coherence_magnitude - report.p) > 1e-9:
-        raise RuntimeError("rotated coherence does not reach the degree of polarization")
+    unequal = abs((rotated[0, 0] - rotated[1, 1]).real)
+    gate(unequal, 1e-9 * scale, "rotated frame failed to equalize the diagonal intensities")
+    short = abs(after.coherence_magnitude - report.p)
+    gate(short, 1e-9, "rotated coherence does not reach the degree of polarization")
     return RotationSolution(
         phi_opt=float(phi),
         j_before=report.coherence_magnitude,
@@ -131,12 +132,10 @@ def stokes_rotation_check(s, phi: float) -> ConstraintLedger:
     s = validate_stokes(s)
     after = mueller_rotator(phi) @ s
     scale = max(1.0, float(s[0]))
-    if not (abs(after[0] - s[0]) <= 1e-10 * scale and abs(after[3] - s[3]) <= 1e-10 * scale):
-        raise RuntimeError("rotation failed to preserve the total/circular components")
-    linear_before = s[1] ** 2 + s[2] ** 2
-    linear_after = after[1] ** 2 + after[2] ** 2
-    if not abs(linear_after - linear_before) <= 1e-10 * scale**2:
-        raise RuntimeError("rotation failed to preserve the linear-component length")
+    drift = np.max(np.abs((after - s)[[0, 3]]))
+    gate(drift, 1e-10 * scale, "rotation failed to preserve the total/circular components")
+    drift = abs(after[1] ** 2 + after[2] ** 2 - (s[1] ** 2 + s[2] ** 2))
+    gate(drift, 1e-10 * scale**2, "rotation failed to preserve the linear-component length")
     return ConstraintLedger(
         i_pol_before=float(np.linalg.norm(s[1:])),
         i_pol_after=float(np.linalg.norm(after[1:])),
@@ -172,10 +171,7 @@ def bisector_geometry(j) -> BisectorReport:
     offset = phi_opt - chi
     residual = (offset - _QUARTER) % _HALF_PI
     residual = min(residual, _HALF_PI - residual)
-    if residual > 1e-8:
-        raise RuntimeError(
-            f"optimal frame misses the bisector by {residual:.3e} rad (mod pi/2)"
-        )
+    gate(residual, 1e-8, f"optimal frame misses the bisector by {residual:.3e} rad (mod pi/2)")
 
     x_opt = np.array([np.cos(phi_opt), np.sin(phi_opt)])
     y_opt = np.array([-np.sin(phi_opt), np.cos(phi_opt)])
@@ -186,8 +182,8 @@ def bisector_geometry(j) -> BisectorReport:
         for u in (x_opt, y_opt)
         for v in (major, minor)
     )
-    if max(abs(c - 0.5) for c in cosines) > 1e-9:
-        raise RuntimeError("squared direction cosines deviate from 1/2")
+    deviation = np.max(np.abs(np.subtract(cosines, 0.5)))
+    gate(deviation, 1e-9, "squared direction cosines deviate from 1/2")
     return BisectorReport(
         chi=float(chi), phi_opt=float(phi_opt), offset=float(offset), cosines_sq=cosines
     )
@@ -280,25 +276,20 @@ class CorrespondenceReport:
 def _check_pairing(quantum: QuantumScenario, optical: OpticalScenario) -> None:
     a = as_state(quantum.initial_state)
     b = as_state(quantum.final_state)
-    if not (abs(a[0] - 1.0) <= 1e-9 and abs(a[1]) <= 1e-9):
-        raise ValueError(
-            "mismatched scenario pairing: quantum side must be given in the "
-            "working basis with initial state (1, 0)"
-        )
+    pairing = "mismatched scenario pairing: "
+    basis = "quantum side must be given in the working basis with initial state (1, 0)"
+    gate(np.max(np.abs(a - (1.0, 0.0))), 1e-9, pairing + basis, ValueError)
     synthesis = quantum.synthesis
     reached = evolve_state(synthesis.hamiltonian, a, synthesis.t_min, hbar=synthesis.hbar)
-    if not abs(abs(overlap(b, reached)) - 1.0) <= 1e-8:
-        raise ValueError(
-            "mismatched scenario pairing: synthesis does not connect the "
-            "declared endpoint states"
-        )
+    connect = "synthesis does not connect the declared endpoint states"
+    gate(abs(abs(overlap(b, reached)) - 1.0), 1e-8, pairing + connect, ValueError)
     j = validate_coherency(optical.coherency)
     report = degree_of_polarization(j)
-    if not abs(optical.rotation.p - report.p) <= 1e-8:
-        raise ValueError("mismatched scenario pairing: rotation solution is for a different beam")
+    rotation = "rotation solution is for a different beam"
+    gate(abs(optical.rotation.p - report.p), 1e-8, pairing + rotation, ValueError)
     i_pol = report.p * report.total_intensity
-    if not abs(optical.ledger.i_pol_before - i_pol) <= 1e-8 * max(1.0, i_pol):
-        raise ValueError("mismatched scenario pairing: ledger is for a different beam")
+    drift = abs(optical.ledger.i_pol_before - i_pol)
+    gate(drift, 1e-8 * max(1.0, i_pol), pairing + "ledger is for a different beam", ValueError)
 
 
 def correspondence_report(

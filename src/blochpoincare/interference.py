@@ -18,8 +18,8 @@ from typing import Tuple
 import numpy as np
 
 from .bloch import as_state, bloch_vector, is_normalized, overlap
-from .numerics import _squares
-from .polarization import degree_of_polarization, validate_coherency
+from .numerics import _squares, gate
+from .polarization import _exact_rescale, degree_of_polarization, validate_coherency
 
 
 def _value(result):
@@ -31,13 +31,10 @@ def _analyzer_terms(j, theta):
     """I_x, I_y, 2 sqrt(I_x I_y) |j_xy| and beta_xy, all of J / 2**k, and k.
 
     The laws are homogeneous in J: after validating J as given they are
-    evaluated on J / 2**k, whose largest entry lies in [1/2, 1), an exact
-    rescale that keeps I_x I_y clear of under- and overflow.
+    evaluated on the exact rescale J / 2**k, which keeps I_x I_y clear of
+    under- and overflow.
     """
-    j = validate_coherency(j)
-    k = int(np.frexp(np.max(np.abs(j)))[1])
-    scaled = np.empty_like(j)
-    scaled.real, scaled.imag = np.ldexp(j.real, -k), np.ldexp(j.imag, -k)
+    scaled, k = _exact_rescale(validate_coherency(j))
     report = degree_of_polarization(scaled)
     i_x = scaled[0, 0].real * _squares(np.cos(theta))
     i_y = scaled[1, 1].real * _squares(np.sin(theta))
@@ -136,8 +133,8 @@ def analogy_triple(j, a, b, tol: float = 1e-10) -> AnalogyTriple:
     """
     j = validate_coherency(j)
     scale = max(1.0, abs(j[0, 0].real) + abs(j[1, 1].real))
-    if abs((j[0, 0] - j[1, 1]).real) > 1e-9 * scale:
-        raise ValueError("coherency matrix must be in the equal-diagonal frame")
+    message = "coherency matrix must be in the equal-diagonal frame"
+    gate(abs((j[0, 0] - j[1, 1]).real), 1e-9 * scale, message, ValueError)
     coherence = degree_of_polarization(j).coherence_magnitude
 
     na, nb = bloch_vector(a), bloch_vector(b)

@@ -13,7 +13,7 @@ import enum
 
 import numpy as np
 
-from .numerics import IDENTITY2, PAULI_X, PAULI_Y, PAULI_Z
+from .numerics import IDENTITY2, PAULI_X, PAULI_Y, PAULI_Z, gate
 from .polarization import validate_stokes
 
 # Maps the row-major entries of a coherency matrix to Stokes parameters:
@@ -76,11 +76,9 @@ def mueller_from_jones(jones: np.ndarray, imag_tol: float = 1e-12) -> np.ndarray
     if not np.all(np.isfinite(lifted)):
         raise ValueError("Mueller lift overflows: Jones entries too large")
     residue = float(np.max(np.abs(lifted.imag)))
-    if residue > imag_tol * float(np.max(np.abs(lifted))):
-        raise RuntimeError(
-            f"Mueller lift produced imaginary residue {residue:.3e} > {imag_tol:.1e} "
-            "relative to its largest entry"
-        )
+    relative = f"{residue:.3e} > {imag_tol:.1e} relative to its largest entry"
+    bound = imag_tol * float(np.max(np.abs(lifted)))
+    gate(residue, bound, f"Mueller lift produced imaginary residue {relative}")
     return np.ascontiguousarray(lifted.real)
 
 
@@ -103,13 +101,11 @@ def wigner_rotation(unitary: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         for k, xi_k in enumerate(STOKES_BASIS):
             m[i, k] = 0.5 * np.trace(left @ xi_k).real
 
-    if max(np.max(np.abs(m[0, 1:])), np.max(np.abs(m[1:, 0]))) > tol or abs(m[0, 0] - 1.0) > tol:
-        raise RuntimeError("rotation lift lost the intensity row/column structure")
+    border = np.concatenate((m[0] - (1.0, 0.0, 0.0, 0.0), m[1:, 0]))
+    gate(np.max(np.abs(border)), tol, "rotation lift lost the intensity row/column structure")
     block = m[1:, 1:]
-    if np.max(np.abs(block @ block.T - np.eye(3))) > tol:
-        raise RuntimeError("rotation block is not orthogonal")
-    if abs(np.linalg.det(block) - 1.0) > tol:
-        raise RuntimeError("rotation block must have determinant +1")
+    gate(np.max(np.abs(block @ block.T - np.eye(3))), tol, "rotation block is not orthogonal")
+    gate(abs(np.linalg.det(block) - 1.0), tol, "rotation block must have determinant +1")
     return m
 
 

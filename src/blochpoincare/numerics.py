@@ -1,9 +1,9 @@
 """Small fixed-size numerical kernels shared by the physics modules.
 
 Pauli matrices, the Hermiticity test, the closed-form SU(2) exponential on a
-whole time vector at once, and the libm squaring the batched kernels share.
-Everything is pure: no global state, no randomness, bit-stable results for
-identical inputs.
+whole time vector at once, the libm squaring the batched kernels share, and
+the residual-versus-bound gate every construction ends in. Everything is
+pure: no global state, no randomness, bit-stable results for identical inputs.
 """
 
 from __future__ import annotations
@@ -18,6 +18,15 @@ IDENTITY2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def gate(residual, bound, message: str, error=RuntimeError) -> None:
+    """Raise ``error``, naming residual and bound, unless ``residual <= bound``: NaN fails.
+
+    Reduce an array residual with ``np.max``; pass a lower bound ``x >= b`` as ``-x <= -b``.
+    """
+    if not residual <= bound:
+        raise error(f"{message} (residual {float(residual)!r}, bound {float(bound)!r})")
 
 
 def is_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> bool:

@@ -7,11 +7,13 @@ correlations. Intensity units are arbitrary but must be used consistently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import bloch_vector as _pauli_expectation_vector
+from .numerics import gate
 
 TWO_PI = 2.0 * np.pi
 
@@ -120,8 +122,9 @@ def validate_stokes(s, tol: float = _BOUND_TOL) -> np.ndarray:
         raise ValueError("Stokes parameters must be finite")
     if s[0] <= 0.0:
         raise ValueError("total intensity must be positive")
-    if s[1] ** 2 + s[2] ** 2 + s[3] ** 2 > s[0] ** 2 + tol:
-        raise ValueError("polarized intensity exceeds the total-intensity bound")
+    polarized = s[1] ** 2 + s[2] ** 2 + s[3] ** 2
+    message = "polarized intensity exceeds the total-intensity bound"
+    gate(polarized, s[0] ** 2 + tol, message, ValueError)
     return s
 
 
@@ -132,17 +135,25 @@ def as_coherency(mat) -> np.ndarray:
     return j
 
 
+def _exact_rescale(j: np.ndarray) -> tuple[np.ndarray, int]:
+    """J / 2**k, whose largest entry lies in [1/2, 1), and k; exact, part by part."""
+    k = math.frexp(np.max(np.abs(j)))[1]
+    return np.ldexp(np.ascontiguousarray(j).view(float), -k).view(complex), k
+
+
 def validate_coherency(mat, tol: float = _BOUND_TOL) -> np.ndarray:
     j = as_coherency(mat)
     if not np.all(np.isfinite(j)):
         raise ValueError("coherency entries must be finite")
-    if np.max(np.abs(j - j.conj().T)) > tol:
-        raise ValueError("coherency matrix must be Hermitian")
-    jxx, jyy = j[0, 0].real, j[1, 1].real
-    if jxx < -tol or jyy < -tol:
-        raise ValueError("diagonal intensities must be nonnegative")
-    if jxx * jyy - abs(j[0, 1]) ** 2 < -tol:
-        raise ValueError("coherency determinant must be nonnegative (Schwarz bound)")
+    gate(np.max(np.abs(j - j.conj().T)), tol, "coherency matrix must be Hermitian", ValueError)
+    jxx, jyy = j[0, 0].real, j[1, 1].real  # finite, so min() sees no NaN
+    gate(-min(jxx, jyy), tol, "diagonal intensities must be nonnegative", ValueError)
+    # Formed on J itself, |J_xy|^2 - J_xx J_yy is inf - inf = NaN from about 1e155.
+    scaled, k = _exact_rescale(j)
+    excess = abs(scaled[0, 1]) ** 2 - scaled[0, 0].real * scaled[1, 1].real
+    with np.errstate(over="ignore"):
+        excess = np.ldexp(excess, 2 * k)
+    gate(excess, tol, "coherency determinant must be nonnegative (Schwarz bound)", ValueError)
     return j
 
 

@@ -22,10 +22,14 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .bloch import as_state, fubini_study_angle, is_normalized, normalize, overlap
-from .numerics import is_hermitian, pauli_components, su2_propagators
+from .numerics import gate, is_hermitian, pauli_components, su2_propagators
 
 _ENDPOINT_TOL = 1e-10
 _DEGENERATE_OVERLAP_TOL = 1e-12
+
+
+class UnrepresentableTimeError(ValueError):
+    """The minimal time of a synthesis is not a positive finite number."""
 
 
 class Route(enum.Enum):
@@ -127,12 +131,12 @@ def basis_rotation_to_pole(state) -> np.ndarray:
 
 
 def _check_endpoint(h: Hamiltonian2, a, b, t_min: float, hbar: float) -> None:
+    if not 0.0 < t_min < np.inf:
+        raise UnrepresentableTimeError(f"minimal time {t_min!r} is not a positive finite number")
     reached = evolve_state(h, a, t_min, hbar=hbar)
     miss = abs(abs(overlap(b, reached)) - 1.0)
-    if not miss <= _ENDPOINT_TOL:
-        raise RuntimeError(
-            f"endpoint check failed: synthesized evolution misses the target by {miss:.3e}"
-        )
+    message = f"endpoint check failed: synthesized evolution misses the target by {miss:.3e}"
+    gate(miss, _ENDPOINT_TOL, message)
 
 
 def synthesize_min_time(a, b, e0: float, hbar: float = 1.0) -> SynthesisResult:
@@ -150,11 +154,8 @@ def synthesize_min_time(a, b, e0: float, hbar: float = 1.0) -> SynthesisResult:
         raise ValueError("e0 must be positive")
     if not (is_normalized(a) and is_normalized(b)):
         raise ValueError("endpoint states must be normalized")
-    if abs(a[0] - 1.0) > 1e-12 or abs(a[1]) > 1e-12:
-        raise ValueError(
-            "initial state must be (1, 0); rotate the basis first "
-            "(see basis_rotation_to_pole)"
-        )
+    message = "initial state must be (1, 0); rotate the basis first (see basis_rotation_to_pole)"
+    gate(np.max(np.abs(a - (1.0, 0.0))), 1e-12, message, ValueError)
     beta_mod = abs(b[1])
     if beta_mod <= _DEGENERATE_OVERLAP_TOL:
         raise ValueError("degenerate synthesis: target equals the initial state ray")
@@ -204,8 +205,7 @@ def synthesize_max_uncertainty(a, b, e: float, hbar: float = 1.0) -> SynthesisRe
     h = Hamiltonian2(m)
 
     mean = float(np.real(np.vdot(a, h.matrix @ a)))
-    if not abs(mean) <= _ENDPOINT_TOL:
-        raise RuntimeError(f"synthesis failed: <a|H|a> = {mean:.3e}, expected 0")
+    gate(abs(mean), _ENDPOINT_TOL, f"synthesis failed: <a|H|a> = {mean:.3e}, expected 0")
     t_min = hbar * theta / (2.0 * e)
     _check_endpoint(h, a, b, t_min, hbar)
     return SynthesisResult(
@@ -276,8 +276,7 @@ def efficiency(trajectory: Sequence[np.ndarray]) -> EfficiencyReport:
         raise ValueError("trajectory endpoints coincide up to phase")
     path_length = float(sum(segments))
     eta = geodesic_length / path_length
-    if not eta <= 1.0 + 1e-9:
-        raise RuntimeError(f"inconsistent trajectory: eta = {eta!r} exceeds 1")
+    gate(eta, 1.0 + 1e-9, f"inconsistent trajectory: eta = {eta!r} exceeds 1")
     return EfficiencyReport(
         geodesic_length=geodesic_length,
         path_length=path_length,

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import stat
@@ -838,3 +839,125 @@ def test_replaced_output_keeps_its_permission_bits(tmp_path):
         os.umask(previous)
     assert stat.S_IMODE(target.stat().st_mode) == 0o600
     assert json.loads(target.read_text()) == {"a": 1.0, "version": cli.__version__}
+
+
+def test_schwarz_violation_at_a_large_scale_is_named(tmp_path, capsys):
+    config = write_config(tmp_path, {"parameters": {"coherency": [[1e160, 2e160], [2e160, 1e160]]}})
+    argv = ["optimize-coherence", "--config", str(config), "--output", str(tmp_path / "out.json")]
+    assert cli.main(argv) == cli.EXIT_SCHEMA
+    assert "(Schwarz bound)" in capsys.readouterr().err
+
+
+def _run_in_process(tmp_path, capsys, kind, text, extra=()):
+    """Exit code and stderr of one CLI run; an escaping exception is a traceback."""
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    argv = [kind, "--config", str(config), "--output", str(tmp_path / "out.json"), *extra]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejecting a flag value
+        code = exc.code
+    except Exception as exc:  # any escape breaks the exit contract
+        return 1, f"traceback: {type(exc).__name__}: {exc}"
+    return code, capsys.readouterr().err
+
+
+def _with_value(config, field, value):
+    """A copy of ``config`` with the ``/``-separated ``field`` set to ``value``."""
+    config = json.loads(json.dumps(config))
+    *parents, last = [int(key) if key.isdigit() else key for key in field.split("/")]
+    node = config
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return config
+
+
+_SMALL_GRID = {"start": 0.1, "stop": 1.4, "count": 3}
+_MUELLER_CONFIG = {"parameters": {"jones": JONES, "rotator_angle": 0.3}}
+_EVOLVE = {"parameters": dict(EVOLVE_CONFIG["parameters"], samples=5)}
+_EVOLVE_UM = {"parameters": dict(_EVOLVE["parameters"], route="uncertainty_maximization")}
+_CORRESPONDENCE = {"parameters": dict(CORRESPONDENCE_CONFIG["parameters"], samples=5)}
+_CONTRACT_CASES = [
+    (
+        "evolve",
+        dict(_EVOLVE, hbar=1.0, tolerances={"default": 1e-9}),
+        ["hbar", "parameters/energy", "tolerances/default"],
+    ),
+    ("evolve", _EVOLVE_UM, ["hbar", "parameters/energy"]),
+    ("optimize-coherence", OPTIMIZE_CONFIG, ["parameters/coherency/0/0", "parameters/coherency/0/1"]),
+    ("mueller", _MUELLER_CONFIG, ["parameters/rotator_angle"]),
+    (
+        "interference",
+        {"parameters": dict(INTERFERENCE_SWEEPS["classical"], phase_delays=_SMALL_GRID)},
+        ["parameters/coherency/0/0/0", "parameters/analyzer_angles/stop"],
+    ),
+    (
+        "interference",
+        {"parameters": dict(INTERFERENCE_SWEEPS["pancharatnam"], sphere_angles=_SMALL_GRID)},
+        ["parameters/intensity_a", "parameters/phase_advances/stop"],
+    ),
+    (
+        "interference",
+        {"parameters": dict(INTERFERENCE_SWEEPS["quantum"], relative_phases=_SMALL_GRID)},
+        ["parameters/amp_b_modulus", "parameters/relative_phases/stop"],
+    ),
+    ("correspondence", _CORRESPONDENCE, ["hbar", "parameters/energy", "parameters/coherency/0/0"]),
+]
+_EXTREMES = [0.0, -0.0, -1.0, 3.0, 1e-320, 1e-310, 1e-200, 1e-160]
+_EXTREMES += [1e155, 1e160, 1e200, 1e300, 1.7e308, -1e308]
+
+
+@pytest.mark.parametrize("kind, base, fields", _CONTRACT_CASES)
+def test_extreme_field_values_keep_the_exit_contract(
+    tmp_path, capsys, monkeypatch, kind, base, fields
+):
+    # Exit 0, 2, 3 or 4 only; no traceback; no gate failure computed on a NaN.
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))  # half of a run
+    broken = []
+    for field in fields:
+        for value in _EXTREMES:
+            text = json.dumps(_with_value(base, field, value))
+            code, err = _run_in_process(tmp_path, capsys, kind, text)
+            if code not in (0, 2, 3, 4) or "traceback" in err.lower() or (code == 3 and "nan" in err):
+                broken.append((field, value, code, err))
+    assert broken == []
+
+
+_ENERGY, _ROTATOR = "parameters/energy", "parameters/rotator_angle"
+_TIME = "config fields 'parameters/energy' and 'hbar': minimal time"
+_CIRCULAR = json.dumps([[[1.0, 0.0], [0.0, 0.5]], [[0.0, -0.5], [1.0, 0.0]]])
+_REPROS = {
+    "rotator-nan": ("mueller", _MUELLER_CONFIG, _ROTATOR, "NaN", [], "NaN"),
+    "energy-nan": ("evolve", _EVOLVE, _ENERGY, "NaN", [], "NaN"),
+    "hbar-nan": ("correspondence", _CORRESPONDENCE, "hbar", "NaN", [], "NaN"),
+    "energy-infinity": ("evolve", _EVOLVE, _ENERGY, "-Infinity", [], "-Infinity"),
+    "energy-1e999": ("evolve", _EVOLVE, _ENERGY, "1e999", [], "1e999"),
+    "hbar-flag-nan": ("evolve", _EVOLVE, _ENERGY, "1.0", ["--hbar", "nan"], "--hbar"),
+    "tolerance-flag-nan": ("evolve", _EVOLVE, _ENERGY, "1.0", ["--tolerance", "nan"], "--tolerance"),
+    "rotator-1e308": ("mueller", _MUELLER_CONFIG, _ROTATOR, "1e308", [], f"'{_ROTATOR}'"),
+    "rotator--1e308": ("mueller", _MUELLER_CONFIG, _ROTATOR, "-1e308", [], f"'{_ROTATOR}'"),
+    "gap-squared": ("correspondence", _CORRESPONDENCE, _ENERGY, "1e155", [], f"'{_ENERGY}'"),
+    "t-min-tm": ("evolve", _EVOLVE, _ENERGY, "1e-310", [], _TIME),
+    "t-min-um": ("evolve", _EVOLVE_UM, _ENERGY, "1e-310", [], _TIME),
+    "t-min-correspondence": ("correspondence", _CORRESPONDENCE, _ENERGY, "1e-310", [], _TIME),
+    "t-min-hbar-flag": ("evolve", _EVOLVE, _ENERGY, "1e-10", ["--hbar", "1e300"], _TIME),
+    "circular-beam": (
+        "correspondence",
+        _CORRESPONDENCE,
+        "parameters/coherency",
+        _CIRCULAR,
+        [],
+        "'parameters/coherency'",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, config, field, literal, extra, named", _REPROS.values(), ids=_REPROS)
+def test_out_of_range_values_are_config_errors_naming_their_field(
+    tmp_path, capsys, kind, config, field, literal, extra, named
+):
+    text = json.dumps(_with_value(config, field, "@")).replace('"@"', literal)
+    code, err = _run_in_process(tmp_path, capsys, kind, text, extra)
+    assert (code, named in err, "traceback" in err.lower()) == (cli.EXIT_SCHEMA, True, False), err
+    assert not (tmp_path / "out.json").exists()

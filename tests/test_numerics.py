@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from blochpoincare.numerics import (
     PAULI_Y,
     PAULI_Z,
+    gate,
     matrix_exponential_su2,
     su2_propagators,
 )
@@ -30,6 +31,27 @@ _COMPONENT = st.one_of(
     st.floats(min_value=1e-100, max_value=1e100),
     st.floats(min_value=-1e100, max_value=-1e-100),
 )
+
+
+def test_gate_fails_on_nan_and_on_nan_inside_max():
+    with pytest.raises(RuntimeError):
+        gate(float("nan"), 1.0, "scalar")
+    with pytest.raises(ValueError):
+        gate(np.max(np.array([0.0, np.nan, 0.5])), 1.0, "array", ValueError)
+    with pytest.raises(RuntimeError):
+        gate(0.0, float("nan"), "bound")
+
+
+def test_gate_lower_bound_form_passes_exactly_at_the_bound():
+    value = bound = 1.0 - 1e-9
+    gate(-value, -bound, "at the bound")
+    with pytest.raises(RuntimeError):
+        gate(-np.nextafter(bound, 0.0), -bound, "one ulp below")
+
+
+def test_gate_message_carries_the_text_the_residual_and_the_bound():
+    with pytest.raises(ArithmeticError, match=r"^drift too large \(residual 0\.5, bound 0\.25\)$"):
+        gate(np.float64(0.5), 0.25, "drift too large", ArithmeticError)
 
 
 def test_exponential_of_zero_is_identity():

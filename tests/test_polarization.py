@@ -217,6 +217,17 @@ def test_coherency_pauli_expansion_identity():
         assert np.max(np.abs(rebuilt - j)) < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e155, 1e160, 1e300])
+def test_validate_coherency_schwarz_verdict_is_scale_free(scale):
+    # The determinant of the first matrix is negative; unformed on J / 2**k
+    # its Schwarz term is inf - inf = NaN from about 1e155.
+    if scale >= 1.0:
+        with pytest.raises(ValueError, match=r"Schwarz bound\) \(residual "):
+            validate_coherency(scale * np.array([[1.0, 2.0], [2.0, 1.0]]))
+    valid = scale * np.array([[2.0, 0.5 + 0.3j], [0.5 - 0.3j, 1.0]])
+    assert np.array_equal(validate_coherency(valid), valid)
+
+
 def test_validate_coherency_rejects_invalid():
     with pytest.raises(ValueError):
         validate_coherency(np.array([[1.0, 0.5], [0.2, 1.0]]))  # not Hermitian

@@ -14,6 +14,7 @@ from blochpoincare.numerics import PAULI_X, PAULI_Y
 from blochpoincare.speed_limit import (
     Hamiltonian2,
     Route,
+    UnrepresentableTimeError,
     basis_rotation_to_pole,
     efficiency,
     energy_uncertainty,
@@ -139,6 +140,14 @@ def test_synthesis_holds_across_the_double_range(synthesize, exponent):
     reached = evolve_states(result.hamiltonian, ZERO, [0.0, result.t_min])
     assert fidelity(target, reached[-1]) >= 1.0 - 1e-12
     assert np.allclose(reached[0], ZERO, atol=1e-15)
+
+
+@pytest.mark.parametrize("synthesize", [synthesize_min_time, synthesize_max_uncertainty])
+@pytest.mark.parametrize("e0, hbar", [(1e-310, 1.0), (1.0, 1.7e308), (1e300, 1e-300)])
+def test_unrepresentable_minimal_time_is_an_input_error(synthesize, e0, hbar):
+    # t_min = 2 hbar arcsin|b1| / e0 (or hbar theta / 2e) overflows or underflows.
+    with pytest.raises(UnrepresentableTimeError, match="is not a positive finite number"):
+        synthesize(ZERO, np.array([0.6, 0.8j]), e0, hbar=hbar)
 
 
 def test_nan_endpoint_fails_the_synthesis_gate(monkeypatch):
