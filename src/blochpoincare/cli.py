@@ -627,6 +627,13 @@ def positive_float(text: str) -> float:
     return value
 
 
+def _probe_seed(text: str) -> int:
+    """argparse type of --seed: an unsigned 64-bit integer, 0 <= seed < 2**64."""
+    if not (text.isdecimal() and len(text) <= 20 and int(text) < 2**64):
+        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**64), got {text!r}")
+    return int(text)
+
+
 def _load_config(path: str):
     try:
         if path == "-":
@@ -675,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
         if kind == "mueller":
             sub.add_argument(
                 "--seed",
-                type=int,
+                type=_probe_seed,
                 default=_DEFAULT_PROBE_SEED,
                 help="seed for classification probes",
             )

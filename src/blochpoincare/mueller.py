@@ -131,13 +131,15 @@ def classify_mueller(
 ) -> MuellerClass:
     """Probe-based split into nondepolarizing vs depolarizing matrices.
 
-    Sends ``probes`` seeded fully polarized Stokes vectors through ``m``.
-    If every image is a valid Stokes vector and stays fully polarized
-    (within 1e-8), the matrix is nondepolarizing; a valid image with reduced
-    polarization makes it depolarizing; an invalid image raises. The probes
-    go through ``m`` divided by its largest entry, so the verdict does not
-    depend on the scale of ``m``.
+    Sends ``probes`` seeded fully polarized Stokes vectors through ``m`` in one
+    batched pass. If every image is a valid Stokes vector and stays fully
+    polarized (within 1e-8), the matrix is nondepolarizing; a valid image with
+    reduced polarization makes it depolarizing; an invalid image raises, the
+    first in probe order. The probes go through ``m`` divided by its largest
+    entry, so the verdict does not depend on the scale of ``m``.
     """
+    if probes < 1:
+        raise ValueError(f"probes must be at least 1, got {probes!r}")
     mat = np.asarray(m, dtype=float)
     if mat.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
@@ -146,18 +148,15 @@ def classify_mueller(
     scale = float(np.max(np.abs(mat)))
     if scale > 0.0:
         mat = mat / scale
-    rng = np.random.default_rng(seed)
-    depolarizes = False
-    for _ in range(probes):
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        stokes = np.concatenate(([1.0], direction))
-        image = mat @ stokes
-        try:
-            validate_stokes(image)
-        except ValueError as exc:
-            raise ValueError(f"matrix maps a valid Stokes vector outside the cone: {exc}")
-        p_out = float(np.linalg.norm(image[1:]) / image[0])
-        if p_out < 1.0 - 1e-8:
-            depolarizes = True
+    directions = np.random.default_rng(seed).normal(size=(probes, 3))
+    directions /= np.sqrt(np.vecdot(directions, directions))[:, None]
+    stokes = np.concatenate((np.ones((probes, 1)), directions), axis=1)
+    # Per-probe mat-vecs, bit-equal to mat @ stokes[i]; stokes @ mat.T is not.
+    images = np.matmul(mat, stokes[:, :, None])[:, :, 0]
+    try:
+        validate_stokes(images)
+    except ValueError as exc:
+        raise ValueError(f"matrix maps a valid Stokes vector outside the cone: {exc}")
+    p_out = np.sqrt(np.vecdot(images[:, 1:], images[:, 1:])) / images[:, 0]
+    depolarizes = np.any(p_out < 1.0 - 1e-8)
     return MuellerClass.DEPOLARIZING if depolarizes else MuellerClass.NONDEPOLARIZING

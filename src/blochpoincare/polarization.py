@@ -117,7 +117,18 @@ def as_stokes(vec) -> np.ndarray:
 
 
 def validate_stokes(s, tol: float = _BOUND_TOL) -> np.ndarray:
-    s = as_stokes(s)
+    """A valid Stokes 4-vector, or an (N, 4) stack that raises for its first invalid row."""
+    stack = np.asarray(s, dtype=float)
+    if stack.ndim == 2 and stack.shape[1] == 4:
+        # Array and scalar squares can round an ulp apart: clear rows by far more.
+        with np.errstate(over="ignore"):
+            polarized = stack[:, 1] ** 2 + stack[:, 2] ** 2 + stack[:, 3] ** 2
+            bound = (stack[:, 0] ** 2 + tol) * (1.0 - 1e-12)
+        clear = np.isfinite(stack).all(axis=1) & (stack[:, 0] > 0.0) & (polarized < bound)
+        for row in stack[~clear]:
+            validate_stokes(row, tol)
+        return stack
+    s = as_stokes(stack)
     if not np.all(np.isfinite(s)):
         raise ValueError("Stokes parameters must be finite")
     if s[0] <= 0.0:

@@ -4,9 +4,9 @@ Oracles here deliberately avoid the library code paths they are used to
 check: the matrix exponential is a scaled-and-squared Taylor series,
 coherency rotations are spelled out entrywise, maxima come from a grid search
 with golden-section refinement, and period averages from the trapezoid rule.
-The scalar SU(2) exponential, Bloch vector, fidelity and the four
-one-point interference laws are the evaluations the batched kernels must
-reproduce bit for bit.
+The scalar SU(2) exponential, Bloch vector, fidelity, the four one-point
+interference laws and the probe-by-probe Mueller classification are the
+evaluations the batched kernels must reproduce bit for bit.
 """
 
 import sys
@@ -15,6 +15,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from blochpoincare.bloch import as_state, is_normalized, overlap
+from blochpoincare.mueller import _DEFAULT_PROBE_SEED, MuellerClass
 from blochpoincare.numerics import (
     IDENTITY2,
     PAULI_X,
@@ -23,7 +24,11 @@ from blochpoincare.numerics import (
     is_hermitian,
     pauli_components,
 )
-from blochpoincare.polarization import degree_of_polarization, validate_coherency
+from blochpoincare.polarization import (
+    degree_of_polarization,
+    validate_coherency,
+    validate_stokes,
+)
 
 # Unitary variant of the Stokes change of basis A_MATRIX; differs from
 # A / sqrt(2) by a sign flip of the circular-component row.
@@ -337,6 +342,36 @@ def scalar_quantum_probability(a_amp, b_amp, state_a, state_b):
     phase = np.angle(inner) - (np.angle(a_amp) - np.angle(b_amp)) if inner != 0 else 0.0
     cross = 2.0 * np.sqrt(p_a * p_b) * abs(inner)
     return float(p_a + p_b + cross * np.cos(phase))
+
+
+def scalar_probe_images(mat, probes, seed):
+    """(Stokes probe, image under ``mat``) pairs, one seeded normal draw per probe."""
+    rng = np.random.default_rng(seed)
+    for _ in range(probes):
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        stokes = np.concatenate(([1.0], direction))
+        yield stokes, mat @ stokes
+
+
+def scalar_classify_mueller(m, probes=1000, seed=_DEFAULT_PROBE_SEED):
+    """The probe classification one probe at a time, each image checked on its own."""
+    mat = np.asarray(m, dtype=float)
+    if mat.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
+    scale = float(np.max(np.abs(mat)))
+    if scale > 0.0:
+        mat = mat / scale
+    depolarizes = False
+    for _, image in scalar_probe_images(mat, probes, seed):
+        try:
+            validate_stokes(image)
+        except ValueError as exc:
+            raise ValueError(f"matrix maps a valid Stokes vector outside the cone: {exc}")
+        p_out = float(np.linalg.norm(image[1:]) / image[0])
+        if p_out < 1.0 - 1e-8:
+            depolarizes = True
+    return MuellerClass.DEPOLARIZING if depolarizes else MuellerClass.NONDEPOLARIZING
 
 
 def bitwise_equal(a, b):

@@ -486,6 +486,23 @@ def test_seed_and_degrees_are_accepted_where_read():
     assert parser.parse_args(["interference", "--config", "-", "--degrees"]).degrees
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_the_u64_range_names_the_flag(tmp_path, capsys, seed):
+    text = json.dumps({"parameters": {"jones": JONES}})
+    code, err = _run_in_process(tmp_path, capsys, "mueller", text, ["--seed", seed])
+    assert code == cli.EXIT_SCHEMA
+    assert "argument --seed: expected an integer in [0, 2**64)" in err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seed_at_the_u64_range_ends_is_the_written_probe_seed(tmp_path, capsys, seed):
+    text = json.dumps({"parameters": {"jones": JONES}})
+    code, _ = _run_in_process(tmp_path, capsys, "mueller", text, ["--seed", str(seed)])
+    assert code == cli.EXIT_OK
+    assert json.loads((tmp_path / "out.json").read_text())["probe_seed"] == seed
+
+
 def _reference_trajectory(params, hbar, fmt):
     """The evolve output rendered row by row through the one-state API."""
     initial = np.array([complex(*v) for v in params["initial"]])

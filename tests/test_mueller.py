@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from blochpoincare import mueller
 from blochpoincare.mueller import (
+    _DEFAULT_PROBE_SEED,
     A_MATRIX,
     A_MATRIX_INVERSE,
     MuellerClass,
@@ -14,7 +18,16 @@ from blochpoincare.polarization import (
     stokes_from_coherency,
     validate_stokes,
 )
-from helpers import U_STOKES, random_coherency, random_state, random_su2, random_unitary
+from helpers import (
+    U_STOKES,
+    bitwise_equal,
+    random_coherency,
+    random_state,
+    random_su2,
+    random_unitary,
+    scalar_classify_mueller,
+    scalar_probe_images,
+)
 
 J_WORKED = np.array([[3.0, 1.0], [1.0, 1.0]], dtype=complex)
 
@@ -206,3 +219,60 @@ def test_classification_is_seed_stable():
 def test_classification_rejects_non_physical():
     with pytest.raises(ValueError, match="cone"):
         classify_mueller(np.diag([1.0, 2.0, 2.0, 2.0]))
+
+
+@pytest.mark.parametrize("probes", [0, -5])
+@pytest.mark.parametrize("diagonal", [(1.0, 0.0, 0.0, 0.0), (1.0, 2.0, 2.0, 2.0)])
+def test_classification_needs_at_least_one_probe(diagonal, probes):
+    with pytest.raises(ValueError, match="probes must be at least 1"):
+        classify_mueller(np.diag(diagonal), probes=probes)
+
+
+def _probe_matrix(kind, rng):
+    """A 4x4 matrix of one kind: random, a Jones lift (regular or rank 1), a diagonal depolarizer."""
+    if kind == "random":
+        return rng.normal(size=(4, 4))
+    if kind == "depolarizer":
+        return np.diag(np.concatenate(([1.0], rng.uniform(-1.0, 1.0, 3))))
+    jones = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    if kind == "rank-1 lift":
+        jones = np.outer(jones[:, 0], jones[0].conj())
+    return mueller_from_jones(jones)
+
+
+_MATRICES = st.builds(
+    _probe_matrix,
+    st.sampled_from(["random", "lift", "rank-1 lift", "depolarizer"]),
+    st.integers(min_value=0, max_value=2**32 - 1).map(np.random.default_rng),
+)
+
+
+def _verdict(classify, m, probes, seed):
+    try:
+        return classify(m, probes=probes, seed=seed)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=_MATRICES, probes=st.sampled_from([1, 7, 1000]), seed=st.integers(0, 2**64 - 1))
+@example(m=np.zeros((4, 4)), probes=1000, seed=_DEFAULT_PROBE_SEED)
+@example(m=np.diag([1.0, np.nan, 1.0, 1.0]), probes=7, seed=0)
+@example(m=np.diag([1.0, 2.0, 2.0, 2.0]), probes=1000, seed=_DEFAULT_PROBE_SEED)
+def test_classification_is_the_probe_by_probe_oracle(m, probes, seed):
+    # Same verdict, or the same error message with the same residual bits.
+    expected = _verdict(scalar_classify_mueller, m, probes, seed)
+    assert _verdict(classify_mueller, m, probes, seed) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, _DEFAULT_PROBE_SEED, 2**64 - 1])
+def test_batched_probes_and_images_are_the_sequential_ones(monkeypatch, seed):
+    checked = []
+    monkeypatch.setattr(mueller, "validate_stokes", lambda s: checked.append(s.copy()) or s)
+    lift = mueller_from_jones(np.array([[0.3, -0.2 + 0.7j], [0.1j, 0.9 - 0.4j]]))
+    classify_mueller(np.eye(4), seed=seed)  # the identity's images are the probes
+    classify_mueller(lift, seed=seed)
+    probes, _ = zip(*scalar_probe_images(np.eye(4), 1000, seed))
+    _, images = zip(*scalar_probe_images(lift / np.max(np.abs(lift)), 1000, seed))
+    assert bitwise_equal(checked[0], np.array(probes))
+    assert bitwise_equal(checked[1], np.array(images))

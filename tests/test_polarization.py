@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from blochpoincare.polarization import (
     wiener_decompose,
 )
 from helpers import (
+    bitwise_equal,
     coherence_magnitude,
     conjugate_coherency,
     random_coherency,
@@ -235,6 +238,59 @@ def test_validate_coherency_rejects_invalid():
         validate_coherency(np.array([[1.0, 2.0], [2.0, 1.0]]))  # Schwarz violated
     with pytest.raises(ValueError):
         validate_stokes([1.0, 1.0, 1.0, 0.2])
+
+
+def _first_rejection(rows):
+    """The one-vector message of the first row rejected, in order, or None."""
+    for row in rows:
+        try:
+            validate_stokes(row)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+def _stack_rejection(rows):
+    try:
+        assert bitwise_equal(validate_stokes(rows), np.asarray(rows, dtype=float))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_validate_stokes_stack_reports_its_first_invalid_row(order):
+    invalid = [[1.0, 1.0, 1.0, 0.2], [1.0, np.nan, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
+    rows = [[2.0, 0.5, -1.0, 0.3], [1.0, 1.0, 0.0, 0.0]] + [invalid[i] for i in order]
+    assert _stack_rejection(rows) == _first_rejection(rows) is not None
+    assert _stack_rejection(rows[:2]) is None
+    assert validate_stokes(rows[0]).shape == (4,)
+
+
+def _rejection(stokes, tol):
+    try:
+        validate_stokes(stokes, tol)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_validate_stokes_stack_at_the_bound_is_each_rows_check():
+    # Squares on arrays and on scalars can round an ulp apart. For rows whose
+    # sums of squares differ so, a bound placed ulps around the scalar sum
+    # must still give a stack of that row the one-vector verdict and message.
+    rng = np.random.default_rng(263)
+    directions = rng.normal(size=(20000, 3))
+    directions *= np.sqrt(1.5) / np.linalg.norm(directions, axis=1)[:, None]
+    batched = directions[:, 0] ** 2 + directions[:, 1] ** 2 + directions[:, 2] ** 2
+    scalar = np.array([d[0] ** 2 + d[1] ** 2 + d[2] ** 2 for d in directions])
+    split = batched != scalar
+    assert split.any()
+    for direction, polarized in zip(directions[split], scalar[split]):
+        row = np.concatenate(([1.0], direction))
+        for ulps in range(-2, 3):
+            tol = polarized - 1.0 + ulps * 2.0**-52  # the bound 1 + tol, exactly
+            assert _rejection(row[None], tol) == _rejection(row, tol)
 
 
 # ---------------------------------------------------------------------------
