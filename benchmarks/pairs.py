@@ -1,21 +1,21 @@
 """Run interleaved parent/change pairs of perfbench and write a BENCH_*.json record.
 
-Both checkouts run the same workload, seed and run length, alternating which
-side goes first. Usage, from anywhere:
+Both checkouts run the same workload and seed at perfbench's own run length,
+alternating which side goes first. Usage, from anywhere:
 
     python3 benchmarks/pairs.py --parent ../parent --change . --workload scenario_batch \\
-        --pairs 10 --seconds 10 --output BENCH_<n>.json
+        --pairs 10 --output BENCH_<n>.json
 
 Each side's runs use its own ``perfbench/run.py`` and ``src``. The record holds,
 per workload and end-to-end metric, the median, q1, q3 and n of each side, the
-pairs the change won, every run's value and failed-item count, both git SHAs,
-and the Python and numpy versions. It is rewritten after every pair.
+pairs the change won, every run's value and failed-item count, and each side's
+provenance as its perfbench results file gives it (git SHA and dirty flag,
+source digest, run length, Python and numpy versions). It is rewritten after
+every pair.
 """
 
 import argparse
 import json
-import os
-import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -24,14 +24,15 @@ import numpy as np
 
 SIDES = ("parent", "change")
 BETTER = {"setup_s": "lower", "items_per_s": "higher", "peak_rss_mb": "lower"}
+PROVENANCE = ("git_sha", "git_dirty", "source_sha256", "python", "numpy", "cpu_model", "nproc")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one perfbench run in ``checkout``."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds)]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    """The results file of one perfbench run in ``checkout``."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
+    path = checkout / ".perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def summary(values: list) -> dict:
@@ -59,41 +60,31 @@ def write(path: Path, record: dict) -> None:
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 
 
-def git_sha(checkout: Path) -> str:
-    argv = ["git", "rev-parse", "HEAD"]
-    return subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True).stdout.strip()
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", type=Path, required=True)
     args = parser.parse_args()
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    record = {
-        "sha": {side: git_sha(checkouts[side]) for side in SIDES},
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": f"{platform.machine()}, {len(os.sched_getaffinity(0))} cpus",
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "workloads": {},
-    }
+    record = {"seed": args.seed, "provenance": {}, "workloads": {}}
     for workload in args.workload:
         entry = record["workloads"][workload] = {"runs": {side: [] for side in SIDES}}
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
-                result = run_once(checkouts[side], workload, args.seed, args.seconds)
+                result = run_once(checkouts[side], workload, args.seed)
+                found = {"seconds": result["seconds"],
+                         **{key: result["provenance"][key] for key in PROVENANCE}}
+                if record["provenance"].setdefault(side, found) != found:
+                    raise SystemExit(f"{side} provenance changed between runs: {found}")
                 entry["runs"][side].append({
                     "first": side == order[0],
                     "failed": result["failed"],
-                    "metrics": {name: result["metrics"][name]["value"] for name in BETTER},
+                    "metrics": {name: result["metrics"][name] for name in BETTER},
                 })
             write(args.output, record)
             runs = entry["runs"]

@@ -629,7 +629,7 @@ def positive_float(text: str) -> float:
 
 def _probe_seed(text: str) -> int:
     """argparse type of --seed: an unsigned 64-bit integer, 0 <= seed < 2**64."""
-    if not (text.isdecimal() and len(text) <= 20 and int(text) < 2**64):
+    if not (text.isascii() and text.isdigit() and len(text) <= 20 and int(text) < 2**64):
         raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**64), got {text!r}")
     return int(text)
 

@@ -117,9 +117,9 @@ def as_stokes(vec) -> np.ndarray:
 
 
 def validate_stokes(s, tol: float = _BOUND_TOL) -> np.ndarray:
-    """A valid Stokes 4-vector, or an (N, 4) stack that raises for its first invalid row."""
+    """A valid Stokes 4-vector, or an (N > 1, 4) stack that raises for its first invalid row."""
     stack = np.asarray(s, dtype=float)
-    if stack.ndim == 2 and stack.shape[1] == 4:
+    if stack.ndim == 2 and stack.shape[0] > 1 and stack.shape[1] == 4:
         # Array and scalar squares can round an ulp apart: clear rows by far more.
         with np.errstate(over="ignore"):
             polarized = stack[:, 1] ** 2 + stack[:, 2] ** 2 + stack[:, 3] ** 2

@@ -486,7 +486,7 @@ def test_seed_and_degrees_are_accepted_where_read():
     assert parser.parse_args(["interference", "--config", "-", "--degrees"]).degrees
 
 
-@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "\u0667"])
 def test_seed_outside_the_u64_range_names_the_flag(tmp_path, capsys, seed):
     text = json.dumps({"parameters": {"jones": JONES}})
     code, err = _run_in_process(tmp_path, capsys, "mueller", text, ["--seed", seed])

@@ -157,6 +157,11 @@ def test_rotation_ledger_identity_angle():
     assert ledger.s1_sq_before == ledger.s1_sq_after
 
 
+def test_rotation_ledger_takes_a_stokes_vector_shaped_as_one_row():
+    s = np.array([2.0, 0.5, 0.3, 0.4])
+    assert stokes_rotation_check(s[None], 0.7) == stokes_rotation_check(s, 0.7)
+
+
 def test_rotation_ledger_rejects_a_nan_angle():
     with pytest.raises(RuntimeError, match="preserve"):
         stokes_rotation_check(np.array([2.0, 0.5, 0.3, 0.1]), np.nan)

@@ -267,6 +267,12 @@ def test_validate_stokes_stack_reports_its_first_invalid_row(order):
     assert validate_stokes(rows[0]).shape == (4,)
 
 
+def test_validate_stokes_one_row_is_a_vector():
+    assert validate_stokes([[1.0, 0.5, 0.0, 0.0]]).shape == (4,)
+    with pytest.raises(ValueError, match="^total intensity must be positive$"):
+        validate_stokes([[0.0, 0.0, 0.0, 0.0]])
+
+
 def _rejection(stokes, tol):
     try:
         validate_stokes(stokes, tol)
@@ -290,7 +296,8 @@ def test_validate_stokes_stack_at_the_bound_is_each_rows_check():
         row = np.concatenate(([1.0], direction))
         for ulps in range(-2, 3):
             tol = polarized - 1.0 + ulps * 2.0**-52  # the bound 1 + tol, exactly
-            assert _rejection(row[None], tol) == _rejection(row, tol)
+            stack = np.stack(([1.0, 0.0, 0.0, 0.0], row))
+            assert _rejection(stack, tol) == _rejection(row, tol)
 
 
 # ---------------------------------------------------------------------------
