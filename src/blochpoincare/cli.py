@@ -8,8 +8,8 @@ byte-deterministic for identical configs (sorted keys, fixed float
 formatting, no timestamps). Every successful run re-validates the library
 invariants on its own outputs before writing.
 
-Exit codes: 0 success, 2 config/schema violation, 3 numerical gate failure,
-4 I/O error.
+Exit codes: 0 success, 2 config/schema violation, 3 numerical gate failure
+(or any other unexpected error), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import math
 import os
 import stat
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence
 
@@ -174,25 +175,53 @@ def format_float(x: float) -> str:
 
 
 def _json_fragment(value, indent: int) -> str:
-    if isinstance(value, float):
+    if isinstance(value, (float, np.floating)):
         return format_float(value)
     if isinstance(value, (dict, list, tuple)):
         return "".join(_json_chunks(value, indent))
-    if isinstance(value, bool) or value is None:
+    if isinstance(value, (bool, str)) or value is None:
         return json.dumps(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, np.floating):
-        return format_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+class Rows(dict):
+    """A JSON list of N objects of one shape: row k holds ``value[k]`` of each (N, ...) array."""
+
+
+_SLOT = -1.2345678901234567e-123  # a float whose text marks the value slots of a row
+_BLOCK = 1024  # rows per chunk: the chunks stay small, and the body is never joined whole
+
+
+@functools.cache
+def _row_template(shape: tuple, indent: int) -> str:
+    """The %-template of one JSON row of ``shape``, (key, dims) pairs in sorted-key order."""
+    row = {key: np.full(dims, _SLOT).tolist() for key, dims in shape}
+    return _json_fragment(row, indent).replace("%", "%%").replace(format_float(_SLOT), "%.17g")
+
+
+def _row_chunks(template: str, table: np.ndarray) -> Iterator[str]:
+    """``template % row`` for each row of the 2-D ``table``, joined in blocks of rows."""
+    if not np.isfinite(table).all():
+        raise ValueError("refusing to serialize a non-finite float")
+    for start in range(0, len(table), _BLOCK):
+        yield "".join([template % tuple(row) for row in table[start : start + _BLOCK].tolist()])
 
 
 def _json_chunks(container, indent: int) -> Iterator[str]:
     """The JSON text of a dict, list or tuple in pieces, each list element whole."""
     pad = "  " * indent
-    if isinstance(container, dict) and container:
+    if isinstance(container, Rows):
+        shape = tuple((key, np.shape(container[key])[1:]) for key in sorted(container))
+        table = np.column_stack([np.reshape(container[k], (-1, math.prod(d))) for k, d in shape])
+        # Every row opens with a comma; the first opens the list instead.
+        rows = _row_chunks(f",\n{pad}  " + _row_template(shape, indent + 1), table)
+        if len(table):
+            yield "[" + next(rows)[1:]
+            yield from rows
+        yield f"\n{pad}]" if len(table) else "[]"
+    elif isinstance(container, dict) and container:
         opening = "{\n"
         for key in sorted(container):
             item, label = container[key], f"{opening}{pad}  {json.dumps(str(key))}: "
@@ -213,10 +242,10 @@ def _json_chunks(container, indent: int) -> Iterator[str]:
         yield "{}" if isinstance(container, dict) else "[]"
 
 
-def _csv_chunks(header: str, rows: Iterable[Sequence[float]]) -> Iterator[str]:
+def _csv_chunks(header: str, rows: Sequence[Sequence[float]]) -> Iterator[str]:
+    table = np.asarray(rows, dtype=float).reshape(len(rows), header.count(",") + 1)
     yield f"# version={__version__}\n{header}\n"
-    for row in rows:
-        yield ",".join(format_float(v) for v in row) + "\n"
+    yield from _row_chunks(",".join(["%.17g"] * table.shape[1]) + "\n", table)
 
 
 def _json_document(payload: dict) -> Iterator[str]:
@@ -229,8 +258,8 @@ def render_json(payload: dict) -> str:
     return "".join(_json_document(payload))
 
 
-def render_csv(header: str, rows: Iterable[Sequence[float]]) -> str:
-    """Version comment, fixed header row, then one line per record."""
+def render_csv(header: str, rows: Sequence[Sequence[float]]) -> str:
+    """Version comment, header row, then one line per row of the 2-D array-like ``rows``."""
     return "".join(_csv_chunks(header, rows))
 
 
@@ -274,24 +303,17 @@ def _write_chunks(path: str, chunks: Iterable[str]) -> None:
 
 
 def emit_json(payload: dict, path: str) -> None:
-    body = dict(payload)
-    body["version"] = __version__
-    _write_chunks(path, _json_document(body))
+    _write_chunks(path, _json_document({**payload, "version": __version__}))
 
 
-def emit_csv(records: Iterable[Sequence[float]], header: str, path: str) -> None:
+def emit_csv(records: Sequence[Sequence[float]], header: str, path: str) -> None:
+    """Write ``render_csv(header, records)``: ``records`` is any 2-D array-like of float rows."""
     _write_chunks(path, _csv_chunks(header, records))
 
 
-def _complex_pair(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
-
-
 def _matrix_payload(m: np.ndarray) -> list:
-    m = np.asarray(m)
-    if np.iscomplexobj(m):
-        return [[_complex_pair(complex(v)) for v in row] for row in m]
-    return [[float(v) for v in row] for row in m]
+    """A matrix as nested lists of floats, each complex entry as its [re, im] pair."""
+    return (np.stack((m.real, m.imag), axis=-1) if np.iscomplexobj(m) else m.astype(float)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +355,10 @@ def _run_evolve(config: dict, fmt: str, out_path: str, hbar: float) -> None:
     if not np.all(times[1:] > times[:-1]):
         raise NumericalGateError("trajectory times are not strictly increasing")
 
-    columns = (
-        times,
-        states[:, 0].real,
-        states[:, 0].imag,
-        states[:, 1].real,
-        states[:, 1].imag,
-        *bloch_vectors(states).T,
-        fidelities(target, states),
-    )
-    records = zip(*(column.tolist() for column in columns))
+    parts = states.view(float)  # re c0, im c0, re c1, im c1 per row
+    bloch, fid = bloch_vectors(states), fidelities(target, states)
     if fmt == "csv":
-        emit_csv(records, TRAJECTORY_HEADER, out_path)
+        emit_csv(np.column_stack((times, parts, bloch, fid)), TRAJECTORY_HEADER, out_path)
     else:
         emit_json(
             {
@@ -353,15 +367,9 @@ def _run_evolve(config: dict, fmt: str, out_path: str, hbar: float) -> None:
                 "t_min": result.t_min,
                 "delta_e": result.delta_e,
                 "hbar": hbar,
-                "trajectory": [
-                    {
-                        "t": r[0],
-                        "state": [[r[1], r[2]], [r[3], r[4]]],
-                        "bloch": [r[5], r[6], r[7]],
-                        "fidelity_to_target": r[8],
-                    }
-                    for r in records
-                ],
+                "trajectory": Rows(
+                    t=times, state=parts.reshape(-1, 2, 2), bloch=bloch, fidelity_to_target=fid
+                ),
             },
             out_path,
         )
@@ -385,21 +393,8 @@ def _run_optimize(config: dict, fmt: str, out_path: str) -> None:
     emit_json(
         {
             "kind": "optimize-coherence",
-            "rotation": {
-                "phi_opt": solution.phi_opt,
-                "j_before": solution.j_before,
-                "j_after": solution.j_after,
-                "p": solution.p,
-                "chi": solution.chi,
-            },
-            "ledger": {
-                "i_pol_before": ledger.i_pol_before,
-                "i_pol_after": ledger.i_pol_after,
-                "s1_sq_before": ledger.s1_sq_before,
-                "s1_sq_after": ledger.s1_sq_after,
-                "s2_sq_before": ledger.s2_sq_before,
-                "s2_sq_after": ledger.s2_sq_after,
-            },
+            "rotation": asdict(solution),
+            "ledger": asdict(ledger),
             "rotated_coherency": _matrix_payload(rotate_coherency(j, solution.phi_opt)),
         },
         out_path,
@@ -506,13 +501,12 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
         columns = (phases, probability, direct)
         header = "relative_phase,probability,direct_norm"
 
-    records = zip(*(np.ravel(column).tolist() for column in columns))
+    table = np.column_stack([np.ravel(column) for column in columns])
     if fmt == "csv":
-        emit_csv(records, header, out_path)
+        emit_csv(table, header, out_path)
     else:
-        keys = header.split(",")
-        json_rows = [dict(zip(keys, r)) for r in records]
-        emit_json({"kind": "interference", "law": law, "rows": json_rows}, out_path)
+        rows = Rows(zip(header.split(","), table.T))
+        emit_json({"kind": "interference", "law": law, "rows": rows}, out_path)
 
 
 def _run_correspondence(config: dict, fmt: str, out_path: str, hbar: float) -> None:
@@ -607,6 +601,9 @@ def run(kind: str, config: dict, args: argparse.Namespace) -> int:
     except IOError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:  # the last resort: no traceback and no exit 1
+        print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     return EXIT_OK
 
 

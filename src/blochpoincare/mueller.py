@@ -143,6 +143,9 @@ def classify_mueller(
     mat = np.asarray(m, dtype=float)
     if mat.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
+    outside = "matrix maps a valid Stokes vector outside the cone"
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{outside}: Stokes parameters must be finite")
     # Scaling by a positive factor leaves the verdict unchanged; at unit scale
     # the absolute bound of validate_stokes sits at the rounding level of m.
     scale = float(np.max(np.abs(mat)))
@@ -156,7 +159,7 @@ def classify_mueller(
     try:
         validate_stokes(images)
     except ValueError as exc:
-        raise ValueError(f"matrix maps a valid Stokes vector outside the cone: {exc}")
+        raise ValueError(f"{outside}: {exc}")
     p_out = np.sqrt(np.vecdot(images[:, 1:], images[:, 1:])) / images[:, 0]
     depolarizes = np.any(p_out < 1.0 - 1e-8)
     return MuellerClass.DEPOLARIZING if depolarizes else MuellerClass.NONDEPOLARIZING
