@@ -1,8 +1,10 @@
-"""In-process timings of the physics constructions and of one config validation.
+"""In-process timings of the physics constructions, one config validation and the renderer.
 
 perfbench times whole CLI runs; these cases time one call each on a fixed
-input, so a change to one construction shows without process noise. Run
-them from the repository root, outside the tier-1 suite:
+input, so a change to one construction shows without process noise. The
+render cases write a sweep's computed columns to a file as the evolve and
+interference runners do. Run them from the repository root, outside the
+tier-1 suite:
 
     PYTHONPATH=src python -m pytest benchmarks -q
 
@@ -11,8 +13,10 @@ pytest-benchmark prints min, median, IQR and rounds per case.
 
 import numpy as np
 
-from blochpoincare.cli import _validate_config
+from blochpoincare.bloch import bloch_vectors, fidelities
+from blochpoincare.cli import TRAJECTORY_HEADER, Rows, _validate_config, emit_csv, emit_json
 from blochpoincare.coherence import optimal_rotation
+from blochpoincare.interference import pancharatnam_intensity
 from blochpoincare.mueller import MuellerClass, classify_mueller, mueller_from_jones
 from blochpoincare.speed_limit import (
     efficiency,
@@ -54,3 +58,42 @@ def test_efficiency_101_samples(benchmark):
     times = np.linspace(0.0, synthesis.t_min, 101)
     trajectory = evolve_states(synthesis.hamiltonian, INITIAL, times)
     benchmark(efficiency, trajectory)
+
+
+def _trajectory(samples):
+    """The evolve runner's columns: times, state parts, Bloch vectors, fidelities."""
+    synthesis = synthesize_min_time(INITIAL, TARGET, 1.0)
+    times = np.linspace(0.0, synthesis.t_min, samples)
+    states = evolve_states(synthesis.hamiltonian, INITIAL, times)
+    return times, states.view(float), bloch_vectors(states), fidelities(TARGET, states)
+
+
+def test_emit_csv_trajectory_10000_rows(benchmark, tmp_path):
+    columns = _trajectory(10_000)
+    path = str(tmp_path / "trajectory.csv")
+    benchmark(lambda: emit_csv(np.column_stack(columns), TRAJECTORY_HEADER, path))
+
+
+def test_emit_json_trajectory_10000_rows(benchmark, tmp_path):
+    times, parts, bloch, fid = _trajectory(10_000)
+    path = str(tmp_path / "trajectory.json")
+
+    def emit():
+        rows = Rows(t=times, state=parts.reshape(-1, 2, 2), bloch=bloch, fidelity_to_target=fid)
+        emit_json({"kind": "evolve", "trajectory": rows}, path)
+
+    benchmark(emit)
+
+
+def test_emit_json_pancharatnam_40000_rows(benchmark, tmp_path):
+    grids = np.linspace(0.0, np.pi, 200), np.linspace(0.0, 2.0 * np.pi, 200)
+    theta, delta = np.meshgrid(*grids, indexing="ij")
+    columns = theta, delta, pancharatnam_intensity(1.0, 0.5, theta, delta)
+    path = str(tmp_path / "sweep.json")
+
+    def emit():
+        table = np.column_stack([np.ravel(column) for column in columns])
+        rows = Rows(zip(["theta_poincare", "delta", "intensity"], table.T))
+        emit_json({"kind": "interference", "law": "pancharatnam", "rows": rows}, path)
+
+    benchmark(emit)

@@ -1,11 +1,14 @@
 import functools
 import json
+import math
 import os
 import stat
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochpoincare import cli
 from blochpoincare.bloch import bloch_vector, fidelity
@@ -380,6 +383,53 @@ def test_emit_json_is_sorted_and_deterministic(tmp_path):
     assert one == two
     assert one.index('"a"') < one.index('"b"') < one.index('"nested"')
     assert json.loads(one)["b"] == 0.1
+
+
+# The row shapes the runners write as JSON (evolve, then the three interference
+# laws), and one whose key needs its "%" escaped in the template.
+_ROW_SHAPES = {
+    "trajectory": {"t": (), "state": (2, 2), "bloch": (3,), "fidelity_to_target": ()},
+    "classical": dict.fromkeys(["theta", "epsilon", "intensity", "visibility"], ()),
+    "pancharatnam": dict.fromkeys(["theta_poincare", "delta", "intensity"], ()),
+    "quantum": dict.fromkeys(["relative_phase", "probability", "direct_norm"], ()),
+    "percent": {"100%s": (), "b": (2,)},
+}
+
+# Edges of the double range, signed zeros and subnormals.
+_SPECIAL_DOUBLES = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072009e-308, 1.7976931348623157e308]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(_ROW_SHAPES)),
+    rows=st.sampled_from([0, 1, cli._BLOCK, 3 * cli._BLOCK + 5]),
+    seed=st.integers(0, 2**32 - 1),
+    drawn=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
+    nested=st.booleans(),
+)
+def test_row_templates_are_bytewise_the_generic_rendering(shape, rows, seed, drawn, nested):
+    dims = _ROW_SHAPES[shape]
+    width = sum(math.prod(d) for d in dims.values())
+    # Random bit patterns: exponents across the whole double range.
+    table = np.random.default_rng(seed).integers(0, 2**64, (rows, width), np.uint64).view(float)
+    table[~np.isfinite(table)] = 0.0
+    specials = (drawn + _SPECIAL_DOUBLES)[: table.size]
+    table.flat[: len(specials)] = specials
+
+    header = ",".join(f"c{k}" for k in range(width))
+    lines = "".join(",".join(map(cli.format_float, row)) + "\n" for row in table.tolist())
+    assert cli.render_csv(header, table) == f"# version={cli.__version__}\n{header}\n{lines}"
+
+    fields, start = {}, 0
+    for key, d in dims.items():
+        fields[key] = table[:, start : start + math.prod(d)].reshape(rows, *d)
+        start += math.prod(d)
+    generic = [{key: value[k].tolist() for key, value in fields.items()} for k in range(rows)]
+
+    def document(body):
+        return cli.render_json({"outer": {"rows": body}} if nested else {"rows": body})
+
+    assert document(cli.Rows(fields)) == document(generic)
 
 
 def test_published_schema_is_the_packaged_one():
@@ -786,6 +836,8 @@ def test_failed_render_leaves_the_earlier_file_and_no_temporary(tmp_path):
         cli.emit_csv(rows, "a,b", str(target))
     with pytest.raises(ValueError, match="non-finite"):
         cli.emit_json({"rows": [1.0, float("inf")]}, str(tmp_path / "new.json"))
+    with pytest.raises(ValueError, match="non-finite"):
+        cli.emit_json({"rows": cli.Rows(a=np.array([0.5, np.nan]))}, str(tmp_path / "rows.json"))
     assert target.read_text() == "earlier\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
@@ -863,6 +915,31 @@ def test_schwarz_violation_at_a_large_scale_is_named(tmp_path, capsys):
     argv = ["optimize-coherence", "--config", str(config), "--output", str(tmp_path / "out.json")]
     assert cli.main(argv) == cli.EXIT_SCHEMA
     assert "(Schwarz bound)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError("float division by zero"), KeyError("phi")])
+def test_an_unexpected_exception_exits_3_naming_it_and_the_batch_goes_on(
+    tmp_path, capsys, monkeypatch, error
+):
+    run_optimize = cli._run_optimize
+
+    def failing_first(config, fmt, out_path):
+        if out_path.endswith("one.json"):
+            raise error
+        run_optimize(config, fmt, out_path)
+
+    monkeypatch.setattr(cli, "_run_optimize", failing_first)
+    entries = [
+        dict(OPTIMIZE_CONFIG, output={"path": str(tmp_path / name), "format": "json"})
+        for name in ("one.json", "two.json")
+    ]
+    code = cli.main(["optimize-coherence", "--config", str(write_config(tmp_path, entries))])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_NUMERIC
+    assert f"{type(error).__name__}: {error}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "one.json").exists()
+    assert (tmp_path / "two.json").exists()
 
 
 def _run_in_process(tmp_path, capsys, kind, text, extra=()):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -219,6 +221,16 @@ def test_classification_is_seed_stable():
 def test_classification_rejects_non_physical():
     with pytest.raises(ValueError, match="cone"):
         classify_mueller(np.diag([1.0, 2.0, 2.0, 2.0]))
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+def test_classification_rejects_a_non_finite_entry_without_a_warning(entry):
+    m = np.eye(4)
+    m[0, 1] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="outside the cone: Stokes parameters must be finite"):
+            classify_mueller(m)
 
 
 @pytest.mark.parametrize("probes", [0, -5])
