@@ -1,20 +1,35 @@
-"""In-process timings of the physics constructions, one config validation and the renderer.
+"""In-process timings of the physics constructions, config validation and the renderer.
 
 perfbench times whole CLI runs; these cases time one call each on a fixed
 input, so a change to one construction shows without process noise. The
 render cases write a sweep's computed columns to a file as the evolve and
-interference runners do. Run them from the repository root, outside the
-tier-1 suite:
+interference runners do. The validation cases time a valid config, which the
+built-in schema checker passes, and an invalid one, which jsonschema words.
+One case times ``import blochpoincare.cli`` in fresh interpreters and records
+the median ``-X importtime`` cumulative time. Run them from the repository
+root, outside the tier-1 suite:
 
     PYTHONPATH=src python -m pytest benchmarks -q
 
 pytest-benchmark prints min, median, IQR and rounds per case.
 """
 
+import statistics
+import subprocess
+import sys
+
 import numpy as np
+import pytest
 
 from blochpoincare.bloch import bloch_vectors, fidelities
-from blochpoincare.cli import TRAJECTORY_HEADER, Rows, _validate_config, emit_csv, emit_json
+from blochpoincare.cli import (
+    TRAJECTORY_HEADER,
+    ConfigError,
+    Rows,
+    _validate_config,
+    emit_csv,
+    emit_json,
+)
 from blochpoincare.coherence import optimal_rotation
 from blochpoincare.interference import pancharatnam_intensity
 from blochpoincare.mueller import MuellerClass, classify_mueller, mueller_from_jones
@@ -51,6 +66,30 @@ def test_optimal_rotation(benchmark):
 def test_validate_config_one_scenario(benchmark):
     config = {"parameters": {"coherency": BEAM.real.tolist()}}
     benchmark(_validate_config, "optimize-coherence", config)
+
+
+def test_validate_config_one_invalid_scenario(benchmark):
+    config = {"parameters": {"coherency": [BEAM.real.tolist()[0], [1.0]]}}
+
+    def rejected():
+        with pytest.raises(ConfigError, match="coherency/1"):
+            _validate_config("optimize-coherence", config)
+
+    benchmark(rejected)
+
+
+def _import_cumulative_us() -> int:
+    """The ``-X importtime`` cumulative microseconds of ``import blochpoincare.cli``."""
+    argv = [sys.executable, "-X", "importtime", "-c", "import blochpoincare.cli"]
+    lines = subprocess.run(argv, capture_output=True, text=True, check=True).stderr.splitlines()
+    assert not any(line.split("|")[-1].strip().startswith("jsonschema") for line in lines)
+    return int(next(line for line in lines if line.endswith("| blochpoincare.cli")).split("|")[1])
+
+
+def test_import_cli_in_a_new_process(benchmark):
+    cumulative = []
+    benchmark.pedantic(lambda: cumulative.append(_import_cumulative_us()), rounds=11)
+    benchmark.extra_info["importtime_cumulative_us_median"] = statistics.median(cumulative)
 
 
 def test_efficiency_101_samples(benchmark):

@@ -3,10 +3,12 @@
 One subcommand per scenario kind (evolve, optimize-coherence, mueller,
 interference, correspondence). Configs are validated against the per-kind
 JSON schemas of the packaged ``scenario-config.schema.json``, the one file
-published at ``schemas/``, before any computation; outputs are
-byte-deterministic for identical configs (sorted keys, fixed float
-formatting, no timestamps). Every successful run re-validates the library
-invariants on its own outputs before writing.
+published at ``schemas/``, before any computation. A built-in checker of the
+schema keywords that file uses passes a valid config; only a config it
+rejects goes to jsonschema, imported then, which words the first error.
+Outputs are byte-deterministic for identical configs (sorted keys, fixed
+float formatting, no timestamps). Every successful run re-validates the
+library invariants on its own outputs before writing.
 
 Exit codes: 0 success, 2 config/schema violation, 3 numerical gate failure
 (or any other unexpected error), 4 I/O error.
@@ -19,6 +21,7 @@ import functools
 import importlib.resources
 import json
 import math
+import numbers
 import os
 import stat
 import sys
@@ -27,7 +30,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import __version__
 from .bloch import bloch_vectors, fidelities, fidelity
@@ -113,8 +115,69 @@ def _kind_schemas() -> dict:
     return json.loads(schema.read_text(encoding="utf-8"))["kinds"]
 
 
+def __getattr__(name: str):
+    """``Draft202012Validator``, from jsonschema imported on first use (PEP 562)."""
+    if name != "Draft202012Validator":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from jsonschema import Draft202012Validator
+
+    globals()[name] = Draft202012Validator
+    return Draft202012Validator
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Number) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": _is_number,
+    "integer": lambda v: not isinstance(v, bool)
+    and (isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
+
+# The schema keywords of the packaged file as JSON Schema 2020-12 reads them,
+# each a test of (value, keyword argument, whole schema). A keyword holds on
+# the values of the types it does not apply to. ``const`` and ``enum`` compare
+# as jsonschema does for the strings the file holds.
+_KEYWORDS = {
+    "type": lambda v, t, s: _TYPES[t](v),
+    "const": lambda v, c, s: v == c,
+    "enum": lambda v, e, s: v in e,
+    "minimum": lambda v, m, s: not (_is_number(v) and v < m),
+    "exclusiveMinimum": lambda v, m, s: not (_is_number(v) and v <= m),
+    "minItems": lambda v, n, s: not isinstance(v, list) or len(v) >= n,
+    "maxItems": lambda v, n, s: not isinstance(v, list) or len(v) <= n,
+    "items": lambda v, i, s: not isinstance(v, list) or all(_conforms(x, i) for x in v),
+    "required": lambda v, r, s: not isinstance(v, dict) or all(k in v for k in r),
+    "properties": lambda v, p, s: not isinstance(v, dict)
+    or all(_conforms(v[k], sub) for k, sub in p.items() if k in v),
+    "additionalProperties": lambda v, a, s: not isinstance(v, dict)
+    or all(_conforms(v[k], a) for k in v if k not in s.get("properties", {})),
+    "oneOf": lambda v, o, s: sum(_conforms(v, sub) for sub in o) == 1,
+}
+
+
+def _conforms(value, schema) -> bool:
+    """Whether ``value`` is valid under ``schema``; KeyError for a keyword not in _KEYWORDS."""
+    if isinstance(schema, bool):
+        return schema
+    if not schema.keys() <= _KEYWORDS.keys():
+        raise KeyError(sorted(schema.keys() - _KEYWORDS.keys()))
+    return all(_KEYWORDS[key](value, arg, schema) for key, arg in schema.items())
+
+
 def _validate_config(kind: str, config: dict) -> None:
-    validator = Draft202012Validator(_kind_schemas()[kind])
+    schema = _kind_schemas()[kind]
+    try:
+        if _conforms(config, schema):
+            return
+    except (LookupError, TypeError, ValueError):
+        pass  # a keyword or value the checker cannot judge: jsonschema decides
+    # Through the module attribute: jsonschema is imported on first use, and a rebound class seen.
+    validator = sys.modules[__name__].Draft202012Validator(schema)
     errors = sorted(
         validator.iter_errors(config),
         key=lambda e: (list(e.absolute_path), e.validator not in _FIRST_KEYWORDS),

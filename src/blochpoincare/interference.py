@@ -51,7 +51,8 @@ def classical_intensity(j, theta, epsilon):
     delay applied to the y component.
     """
     i_x, i_y, cross, phase, k = _analyzer_terms(j, theta)
-    return _value(np.ldexp(i_x + i_y + cross * np.cos(phase - epsilon), k))
+    with np.errstate(over="ignore"):  # an overflow is inf, which the caller reports
+        return _value(np.ldexp(i_x + i_y + cross * np.cos(phase - epsilon), k))
 
 
 def fringe_visibility(j, theta):

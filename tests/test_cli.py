@@ -1,9 +1,13 @@
+import copy
 import functools
 import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1055,3 +1059,144 @@ def test_out_of_range_values_are_config_errors_naming_their_field(
     code, err = _run_in_process(tmp_path, capsys, kind, text, extra)
     assert (code, named in err, "traceback" in err.lower()) == (cli.EXIT_SCHEMA, True, False), err
     assert not (tmp_path / "out.json").exists()
+
+
+def _cli_process(*args, python_flags=()):
+    """A Python subprocess with the package under test importable; ``args`` follow ``-c``/``-m``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, *python_flags, *args]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_overflowing_coherency_is_a_config_error_with_warnings_as_errors(tmp_path):
+    params = dict(
+        INTERFERENCE_SWEEPS["classical"],
+        coherency=[[[1.7e308, 0.0], [5e307, 0.0]], [[5e307, 0.0], [1.7e308, 0.0]]],
+    )
+    config = write_config(tmp_path, {"parameters": params})
+    argv = ["interference", "--config", str(config), "--output", str(tmp_path / "sweep.json")]
+    done = _cli_process("-m", "blochpoincare.cli", *argv, python_flags=["-W", "error"])
+    assert (done.returncode, done.stderr) == (
+        cli.EXIT_SCHEMA,
+        "error: config field 'parameters/coherency': the intensities overflow\n",
+    )
+
+
+_VALID_CONFIGS = [
+    (
+        "evolve",
+        dict(
+            _EVOLVE,
+            kind="evolve",
+            hbar=1.0,
+            tolerances={"default": 1e-9, "endpoint_fidelity": 1e-9},
+            output={"path": "trajectory.csv", "format": "csv"},
+        ),
+    ),
+    ("evolve", _EVOLVE_UM),
+    ("optimize-coherence", OPTIMIZE_CONFIG),
+    ("mueller", _MUELLER_CONFIG),
+    *[("interference", {"parameters": params}) for params in INTERFERENCE_SWEEPS.values()],
+    ("correspondence", _CORRESPONDENCE),
+]
+_MUTANTS = [None, True, 1.0, -0.5, "", [], {}, 10**400, 0, 2, "quantum", [1.0, 0.0], {"path": "x"}]
+_MUTANT_KEYS = ["law", "kind", "format", "samples", "route", "rotator_angle", "count", "extra"]
+
+
+def _containers(value):
+    """Every dict and list inside ``value``, itself first."""
+    if isinstance(value, (dict, list)):
+        yield value
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _containers(item)
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A valid config of some kind with up to three keys or array elements replaced, dropped or added."""
+    kind, config = draw(st.sampled_from(_VALID_CONFIGS))
+    config = copy.deepcopy(config)
+    for _ in range(draw(st.integers(0, 3))):
+        node = draw(st.sampled_from(list(_containers(config))))
+        value = copy.deepcopy(draw(st.sampled_from(_MUTANTS)))
+        places = sorted(node) if isinstance(node, dict) else list(range(len(node)))
+        op = draw(st.sampled_from(["replace", "drop", "add"] if places else ["add"]))
+        if op == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(_MUTANT_KEYS))] = value
+        elif op == "add":
+            node.insert(draw(st.integers(0, len(node))), value)
+        elif op == "replace":
+            node[draw(st.sampled_from(places))] = value
+        else:
+            del node[draw(st.sampled_from(places))]
+    return kind, config
+
+
+@settings(max_examples=500, deadline=None)
+@given(_mutated_configs())
+def test_config_checker_agrees_with_jsonschema(case):
+    from jsonschema import Draft202012Validator
+
+    kind, config = case
+    schema = cli._kind_schemas()[kind]
+    assert cli._conforms(config, schema) == Draft202012Validator(schema).is_valid(config)
+
+
+# 1, 1.0 and 10**400 match both alternatives, -0.5 and "" neither, 2.5 and -1 exactly one.
+_OVERLAPPING = {"oneOf": [{"type": "number", "minimum": 0}, {"type": "integer"}]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_MUTANTS + [1, 2.5, -1]) | st.integers() | st.floats())
+def test_config_checker_counts_oneof_matches_as_jsonschema_does(value):
+    from jsonschema import Draft202012Validator
+
+    expected = Draft202012Validator(_OVERLAPPING).is_valid(value)
+    assert cli._conforms(value, _OVERLAPPING) == expected
+
+
+def _subschemas(schema):
+    """``schema`` and every schema nested in it."""
+    yield schema
+    nested = [*schema.get("properties", {}).values(), *schema.get("oneOf", [])]
+    for sub in [*nested, schema.get("items"), schema.get("additionalProperties")]:
+        if isinstance(sub, dict):
+            yield from _subschemas(sub)
+
+
+def test_config_checker_reads_every_keyword_of_the_packaged_schema():
+    # A keyword the checker lacks would send every config to jsonschema; a
+    # non-string const or enum would need jsonschema's bool-aware equality.
+    for schema in cli._kind_schemas().values():
+        for node in _subschemas(schema):
+            assert node.keys() <= cli._KEYWORDS.keys()
+            assert node.get("type", "object") in cli._TYPES
+            assert all(isinstance(c, str) for c in [node.get("const", ""), *node.get("enum", [])])
+
+
+_IMPORT_PATH = """
+import json, sys
+from blochpoincare import cli
+runs = json.loads(sys.argv[1])
+codes = [cli.main(argv) for argv in runs["valid"]]
+imported = "jsonschema" in sys.modules
+invalid = cli.main(runs["invalid"])
+from jsonschema import Draft202012Validator
+print(json.dumps([codes, imported, invalid, cli.Draft202012Validator is Draft202012Validator]))
+"""
+
+
+def test_valid_configs_run_without_importing_jsonschema(tmp_path):
+    runs = {"valid": [], "invalid": None}
+    for index, (kind, config) in enumerate(_VALID_CONFIGS):
+        output = {"path": str(tmp_path / f"{index}.out")}
+        path = write_config(tmp_path, dict(config, output=output), f"{index}.json")
+        runs["valid"].append([kind, "--config", str(path)])
+    bad = {"parameters": dict(EVOLVE_CONFIG["parameters"], samples=1.5)}
+    runs["invalid"] = ["evolve", "--config", str(write_config(tmp_path, bad)), "--output", "-"]
+    done = _cli_process("-c", _IMPORT_PATH, json.dumps(runs))
+    codes, imported, invalid, same_class = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [cli.EXIT_OK] * len(_VALID_CONFIGS) and not imported
+    assert (invalid, same_class) == (cli.EXIT_SCHEMA, True)
+    assert done.stderr == "error: config field 'parameters/samples': 1.5 is not of type 'integer'\n"
