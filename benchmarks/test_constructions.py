@@ -6,8 +6,9 @@ render cases write a sweep's computed columns to a file as the evolve and
 interference runners do. The validation cases time a valid config, which the
 built-in schema checker passes, and an invalid one, which jsonschema words.
 One case times ``import blochpoincare.cli`` in fresh interpreters and records
-the median ``-X importtime`` cumulative time. Run them from the repository
-root, outside the tier-1 suite:
+the median ``-X importtime`` cumulative time in its ``extra_info`` (written by
+``--benchmark-json``). Run them from the repository root, outside the tier-1
+suite:
 
     PYTHONPATH=src python -m pytest benchmarks -q
 

@@ -175,8 +175,8 @@ def _validate_config(kind: str, config: dict) -> None:
         if _conforms(config, schema):
             return
     except (LookupError, TypeError, ValueError):
-        pass  # a keyword or value the checker cannot judge: jsonschema decides
-    # Through the module attribute: jsonschema is imported on first use, and a rebound class seen.
+        pass  # a keyword the checker lacks, or a non-JSON value that will not compare
+    # Through the module attribute: imports jsonschema on first use, honours a rebound class.
     validator = sys.modules[__name__].Draft202012Validator(schema)
     errors = sorted(
         validator.iter_errors(config),
