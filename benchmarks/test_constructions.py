@@ -2,11 +2,14 @@
 
 perfbench times whole CLI runs; these cases time one call each on a fixed
 input, so a change to one construction shows without process noise. The
-render cases write a sweep's computed columns to a file as the evolve and
-interference runners do. The validation cases time a valid config, which the
-built-in schema checker passes, and an invalid one, which jsonschema words.
-One case times ``import blochpoincare.cli`` in fresh interpreters and records
-the median ``-X importtime`` cumulative time in its ``extra_info`` (written by
+correspondence chain is the runner's optical and efficiency steps on one
+beam and a synthesized trajectory; the classical sweep is the interference
+runner's two law calls on a 120 x 120 grid. The render cases write a sweep's
+computed columns to a file as the evolve and interference runners do. The
+validation cases time a valid config, which the built-in schema checker
+passes, and an invalid one, which jsonschema words. One case times
+``import blochpoincare.cli`` in fresh interpreters and records the median
+``-X importtime`` cumulative time in its ``extra_info`` (written by
 ``--benchmark-json``). Run them from the repository root, outside the tier-1
 suite:
 
@@ -31,9 +34,21 @@ from blochpoincare.cli import (
     emit_csv,
     emit_json,
 )
-from blochpoincare.coherence import optimal_rotation
-from blochpoincare.interference import pancharatnam_intensity
+from blochpoincare.coherence import (
+    OpticalScenario,
+    QuantumScenario,
+    bisector_geometry,
+    correspondence_report,
+    optimal_rotation,
+    stokes_rotation_check,
+)
+from blochpoincare.interference import (
+    classical_intensity,
+    fringe_visibility,
+    pancharatnam_intensity,
+)
 from blochpoincare.mueller import MuellerClass, classify_mueller, mueller_from_jones
+from blochpoincare.polarization import stokes_from_coherency
 from blochpoincare.speed_limit import (
     efficiency,
     evolve_states,
@@ -62,6 +77,33 @@ def test_synthesize_max_uncertainty(benchmark):
 
 def test_optimal_rotation(benchmark):
     benchmark(optimal_rotation, BEAM)
+
+
+def test_bisector_geometry(benchmark):
+    benchmark(bisector_geometry, BEAM)
+
+
+def test_correspondence_chain(benchmark):
+    synthesis = synthesize_min_time(INITIAL, TARGET, 1.0)
+    times = np.linspace(0.0, synthesis.t_min, 101)
+    trajectory = evolve_states(synthesis.hamiltonian, INITIAL, times)
+
+    def chain():
+        rotation = optimal_rotation(BEAM)
+        ledger = stokes_rotation_check(stokes_from_coherency(BEAM), rotation.phi_opt)
+        quantum = QuantumScenario(synthesis, efficiency(trajectory), INITIAL, TARGET)
+        return correspondence_report(quantum, OpticalScenario(BEAM, rotation, ledger))
+
+    assert benchmark(chain).all_passed
+
+
+def test_classical_sweep_120x120(benchmark):
+    angles, delays = np.linspace(0.0, np.pi / 2.0, 120), np.linspace(0.0, 2.0 * np.pi, 120)
+
+    def sweep():
+        return classical_intensity(BEAM, angles[:, None], delays), fringe_visibility(BEAM, angles)
+
+    benchmark(sweep)
 
 
 def test_validate_config_one_scenario(benchmark):

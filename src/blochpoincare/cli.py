@@ -73,6 +73,7 @@ EXIT_IO = 4
 KINDS = ("evolve", "optimize-coherence", "mueller", "interference", "correspondence")
 # The kinds whose runners read hbar and the endpoint-fidelity tolerances.
 _HBAR_KINDS = ("evolve", "correspondence")
+_JSON_ONLY_KINDS = ("optimize-coherence", "mueller", "correspondence")
 
 TRAJECTORY_HEADER = "t,re_c0,im_c0,re_c1,im_c1,bx,by,bz,fidelity"
 
@@ -439,8 +440,6 @@ def _run_evolve(config: dict, fmt: str, out_path: str, hbar: float) -> None:
 
 
 def _run_optimize(config: dict, fmt: str, out_path: str) -> None:
-    if fmt != "json":
-        raise ConfigError("optimize-coherence emits JSON only")
     j = _as_matrix(config["parameters"]["coherency"])
     try:
         solution = optimal_rotation(j)
@@ -465,8 +464,6 @@ def _run_optimize(config: dict, fmt: str, out_path: str) -> None:
 
 
 def _run_mueller(config: dict, fmt: str, out_path: str, seed: int) -> None:
-    if fmt != "json":
-        raise ConfigError("mueller emits JSON only")
     params = config["parameters"]
     jones = _as_matrix(params["jones"])
     try:
@@ -514,32 +511,32 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
     law = params["law"]
     if law == "classical":
         j = _as_matrix(params["coherency"])
-        grids = _grid_values(params["analyzer_angles"]), _grid_values(params["phase_delays"])
-        theta, epsilon = np.meshgrid(*grids, indexing="ij")
+        angles = _grid_values(params["analyzer_angles"])
+        delays = _grid_values(params["phase_delays"])
         try:
-            intensity = classical_intensity(j, theta, epsilon)
+            intensity = classical_intensity(j, angles[:, None], delays)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         try:
-            visibility = fringe_visibility(j, theta)
+            visibility = fringe_visibility(j, angles)
         except ValueError as exc:
             raise ConfigError(f"config field 'parameters/analyzer_angles': {exc}") from exc
         if not np.all(np.isfinite(intensity)):
             raise ConfigError("config field 'parameters/coherency': the intensities overflow")
         message = "negative intensity in classical sweep"
         gate(np.max(-intensity), 1e-12, message, NumericalGateError)
-        columns = (theta, epsilon, intensity, visibility)
+        columns = (angles[:, None], delays, intensity, visibility[:, None])
         header = "theta,epsilon,intensity,visibility"
     elif law == "pancharatnam":
         i_a, i_b = float(params["intensity_a"]), float(params["intensity_b"])
         _gate_amplitudes({"intensity_a": i_a, "intensity_b": i_b}, math.sqrt(i_a), math.sqrt(i_b))
-        grids = _grid_values(params["sphere_angles"]), _grid_values(params["phase_advances"])
-        theta, delta = np.meshgrid(*grids, indexing="ij")
+        angles = _grid_values(params["sphere_angles"])
+        advances = _grid_values(params["phase_advances"])
         try:
-            intensity = pancharatnam_intensity(i_a, i_b, theta, delta)
+            intensity = pancharatnam_intensity(i_a, i_b, angles[:, None], advances)
         except ValueError as exc:
             raise ConfigError(f"config field 'parameters/sphere_angles': {exc}") from exc
-        columns = (theta, delta, intensity)
+        columns = (angles[:, None], advances, intensity)
         header = "theta_poincare,delta,intensity"
     else:
         state_a = _as_state_array(params["state_a"])
@@ -564,7 +561,7 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
         columns = (phases, probability, direct)
         header = "relative_phase,probability,direct_norm"
 
-    table = np.column_stack([np.ravel(column) for column in columns])
+    table = np.column_stack([np.ravel(column) for column in np.broadcast_arrays(*columns)])
     if fmt == "csv":
         emit_csv(table, header, out_path)
     else:
@@ -573,8 +570,6 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
 
 
 def _run_correspondence(config: dict, fmt: str, out_path: str, hbar: float) -> None:
-    if fmt != "json":
-        raise ConfigError("correspondence emits JSON only")
     params = config["parameters"]
     initial = _as_state_array(params["initial"])
     target = _as_state_array(params["target"])
@@ -644,6 +639,8 @@ def run(kind: str, config: dict, args: argparse.Namespace) -> int:
         output = config.get("output", {})
         out_path = args.output or output.get("path", "-")
         fmt = args.format or output.get("format", "json")
+        if fmt != "json" and kind in _JSON_ONLY_KINDS:
+            raise ConfigError(f"{kind} emits JSON only")
 
         if kind == "evolve":
             _run_evolve(config, fmt, out_path, hbar)

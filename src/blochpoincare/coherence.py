@@ -19,11 +19,11 @@ from .bloch import as_state, fidelity, orthogonal_state, overlap
 from .mueller import mueller_rotator
 from .numerics import gate
 from .polarization import (
+    as_coherency,
     degree_of_polarization,
+    orientation_angle,
     rotate_coherency,
-    validate_coherency,
     validate_stokes,
-    wiener_decompose,
 )
 from .speed_limit import EfficiencyReport, SynthesisResult, evolve_state
 
@@ -87,8 +87,8 @@ def optimal_rotation(j) -> RotationSolution:
     polarization. Strictly unpolarized input has no preferred frame and is
     rejected.
     """
-    j = validate_coherency(j)
-    report = degree_of_polarization(j)
+    j = as_coherency(j)
+    report = degree_of_polarization(j)  # validates j
     if report.p <= 1e-12:
         raise ValueError("no polarized part: the optimum frame is undefined at P = 0")
 
@@ -111,7 +111,7 @@ def optimal_rotation(j) -> RotationSolution:
         j_before=report.coherence_magnitude,
         j_after=after.coherence_magnitude,
         p=report.p,
-        chi=wiener_decompose(j).orientation,
+        chi=orientation_angle(j),
     )
 
 
@@ -154,8 +154,8 @@ def bisector_geometry(j) -> BisectorReport:
     principal axes. Beams whose polarized part is circular have no principal
     axes and are rejected as degenerate.
     """
-    j = validate_coherency(j)
-    report = degree_of_polarization(j)
+    j = as_coherency(j)
+    report = degree_of_polarization(j)  # validates j
     if report.p <= 1e-12:
         raise ValueError("no polarized part: principal axes undefined")
     s1 = (j[0, 0] - j[1, 1]).real
@@ -166,7 +166,7 @@ def bisector_geometry(j) -> BisectorReport:
             "degenerate: polarized part is circular, principal axes undefined"
         )
 
-    chi = wiener_decompose(j).orientation
+    chi = orientation_angle(j)
     phi_opt = optimal_rotation(j).phi_opt
     offset = phi_opt - chi
     residual = (offset - _QUARTER) % _HALF_PI
@@ -273,7 +273,8 @@ class CorrespondenceReport:
         return "\n".join(lines)
 
 
-def _check_pairing(quantum: QuantumScenario, optical: OpticalScenario) -> None:
+def _check_pairing(quantum: QuantumScenario, optical: OpticalScenario) -> tuple:
+    """The beam's coherency matrix and its report, once the two sides are checked to pair."""
     a = as_state(quantum.initial_state)
     b = as_state(quantum.final_state)
     pairing = "mismatched scenario pairing: "
@@ -283,13 +284,14 @@ def _check_pairing(quantum: QuantumScenario, optical: OpticalScenario) -> None:
     reached = evolve_state(synthesis.hamiltonian, a, synthesis.t_min, hbar=synthesis.hbar)
     connect = "synthesis does not connect the declared endpoint states"
     gate(abs(abs(overlap(b, reached)) - 1.0), 1e-8, pairing + connect, ValueError)
-    j = validate_coherency(optical.coherency)
-    report = degree_of_polarization(j)
+    j = as_coherency(optical.coherency)
+    report = degree_of_polarization(j)  # validates j
     rotation = "rotation solution is for a different beam"
     gate(abs(optical.rotation.p - report.p), 1e-8, pairing + rotation, ValueError)
     i_pol = report.p * report.total_intensity
     drift = abs(optical.ledger.i_pol_before - i_pol)
     gate(drift, 1e-8 * max(1.0, i_pol), pairing + "ledger is for a different beam", ValueError)
+    return j, report
 
 
 def correspondence_report(
@@ -303,13 +305,11 @@ def correspondence_report(
     compared quantities are dimensionless residuals; no unit bridge between
     energy and intensity is attempted.
     """
-    _check_pairing(quantum, optical)
+    j, report = _check_pairing(quantum, optical)
     h = quantum.synthesis.hamiltonian
     gap = h.gap
     m = h.matrix
-    j = validate_coherency(optical.coherency)
     rotated = rotate_coherency(j, optical.rotation.phi_opt)
-    report = degree_of_polarization(j)
     i_pol = report.p * report.total_intensity
 
     # Constraint conservation: gap identity on the quantum side, polarized

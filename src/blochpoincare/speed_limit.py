@@ -262,19 +262,27 @@ def efficiency(trajectory: Sequence[np.ndarray]) -> EfficiencyReport:
     directly. The ratio is clamped to 1 from above (it exceeds 1 only by
     floating-point noise; the triangle inequality bounds the exact value).
     """
-    states = [as_state(s) for s in trajectory]
+    try:
+        states = np.asarray(trajectory, dtype=complex).reshape(len(trajectory), 2)
+    except (TypeError, ValueError):  # as_state reads each sample, or names the first bad one
+        states = np.array([as_state(s) for s in trajectory])
     if len(states) < 2:
         raise ValueError("need at least 2 samples")
-    segments = []
-    for prev, curr in zip(states[:-1], states[1:]):
-        seg = fubini_study_angle(prev, curr)
-        if not seg > 1e-12:
-            raise ValueError("consecutive samples coincide up to phase")
-        segments.append(seg)
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows fail the checks below
+        normalized = np.abs(np.vecdot(states, states).real - 1.0) <= 1e-12
+        inner = np.vecdot(states[:-1], states[1:])
+        # hypot, not np.abs: it rounds as the scalar abs of one overlap does.
+        segments = 2.0 * np.arccos(np.minimum(1.0, np.hypot(inner.real, inner.imag)))
+    # The first failing pair in order raises, for its normalization before a coincidence.
+    failing = np.flatnonzero(~(normalized[:-1] & normalized[1:] & (segments > 1e-12)))
+    if failing.size:
+        if not normalized[failing[0] : failing[0] + 2].all():
+            raise ValueError("both states must be normalized")
+        raise ValueError("consecutive samples coincide up to phase")
     geodesic_length = fubini_study_angle(states[0], states[-1])
     if not geodesic_length > 1e-12:
         raise ValueError("trajectory endpoints coincide up to phase")
-    path_length = float(sum(segments))
+    path_length = sum(segments.tolist())  # in trajectory order, as a running sum
     eta = geodesic_length / path_length
     gate(eta, 1.0 + 1e-9, f"inconsistent trajectory: eta = {eta!r} exceeds 1")
     return EfficiencyReport(

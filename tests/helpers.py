@@ -5,8 +5,9 @@ check: the matrix exponential is a scaled-and-squared Taylor series,
 coherency rotations are spelled out entrywise, maxima come from a grid search
 with golden-section refinement, and period averages from the trapezoid rule.
 The scalar SU(2) exponential, Bloch vector, fidelity, the four one-point
-interference laws and the probe-by-probe Mueller classification are the
-evaluations the batched kernels must reproduce bit for bit.
+interference laws, the probe-by-probe Mueller classification and the
+pair-by-pair efficiency walk are the evaluations the batched kernels must
+reproduce bit for bit.
 """
 
 import sys
@@ -14,13 +15,14 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from blochpoincare.bloch import as_state, is_normalized, overlap
+from blochpoincare.bloch import as_state, fubini_study_angle, is_normalized, overlap
 from blochpoincare.mueller import _DEFAULT_PROBE_SEED, MuellerClass
 from blochpoincare.numerics import (
     IDENTITY2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    gate,
     is_hermitian,
     pauli_components,
 )
@@ -29,6 +31,7 @@ from blochpoincare.polarization import (
     validate_coherency,
     validate_stokes,
 )
+from blochpoincare.speed_limit import EfficiencyReport
 
 # Unitary variant of the Stokes change of basis A_MATRIX; differs from
 # A / sqrt(2) by a sign flip of the circular-component row.
@@ -372,6 +375,28 @@ def scalar_classify_mueller(m, probes=1000, seed=_DEFAULT_PROBE_SEED):
         if p_out < 1.0 - 1e-8:
             depolarizes = True
     return MuellerClass.DEPOLARIZING if depolarizes else MuellerClass.NONDEPOLARIZING
+
+
+def scalar_efficiency(trajectory):
+    """The efficiency report by a walk over consecutive samples, one pair at a time."""
+    states = [as_state(s) for s in trajectory]
+    if len(states) < 2:
+        raise ValueError("need at least 2 samples")
+    segments = []
+    for prev, curr in zip(states[:-1], states[1:]):
+        seg = fubini_study_angle(prev, curr)
+        if not seg > 1e-12:
+            raise ValueError("consecutive samples coincide up to phase")
+        segments.append(seg)
+    geodesic_length = fubini_study_angle(states[0], states[-1])
+    if not geodesic_length > 1e-12:
+        raise ValueError("trajectory endpoints coincide up to phase")
+    path_length = float(sum(segments))
+    eta = geodesic_length / path_length
+    gate(eta, 1.0 + 1e-9, f"inconsistent trajectory: eta = {eta!r} exceeds 1")
+    return EfficiencyReport(
+        geodesic_length=geodesic_length, path_length=path_length, eta_qm=min(eta, 1.0)
+    )
 
 
 def bitwise_equal(a, b):

@@ -946,6 +946,35 @@ def test_an_unexpected_exception_exits_3_naming_it_and_the_batch_goes_on(
     assert (tmp_path / "two.json").exists()
 
 
+_JSON_ONLY = {
+    "optimize-coherence": OPTIMIZE_CONFIG,
+    "mueller": {"parameters": {"jones": JONES}},
+    "correspondence": CORRESPONDENCE_CONFIG,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_JSON_ONLY))
+def test_json_only_kinds_refuse_csv_and_write_nothing(tmp_path, capsys, kind):
+    out = tmp_path / "out.csv"
+    argv = [kind, "--config", str(write_config(tmp_path, _JSON_ONLY[kind])), "--output", str(out)]
+    assert cli.main([*argv, "--format", "csv"]) == cli.EXIT_SCHEMA
+    assert capsys.readouterr() == ("", f"error: {kind} emits JSON only\n")
+    assert not out.exists()
+    # A schema error is reported first; a beam the runner would refuse is not reached.
+    bad_field = _with_value(_JSON_ONLY[kind], "parameters/extra", 1)
+    argv[2] = str(write_config(tmp_path, bad_field))
+    assert cli.main([*argv, "--format", "csv"]) == cli.EXIT_SCHEMA
+    assert "emits JSON only" not in capsys.readouterr().err
+    if kind != "mueller":
+        unpolarized = _with_value(_JSON_ONLY[kind], "parameters/coherency", [[1.0, 0.0], [0.0, 1.0]])
+        argv[2] = str(write_config(tmp_path, unpolarized))
+        assert cli.main([*argv, "--format", "csv"]) == cli.EXIT_SCHEMA
+        assert capsys.readouterr().err == f"error: {kind} emits JSON only\n"
+        assert cli.main(argv) == cli.EXIT_SCHEMA
+        assert "no polarized part" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _run_in_process(tmp_path, capsys, kind, text, extra=()):
     """Exit code and stderr of one CLI run; an escaping exception is a traceback."""
     config = tmp_path / "config.json"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochpoincare.bloch import (
     bloch_vector,
@@ -24,7 +26,7 @@ from blochpoincare.speed_limit import (
     synthesize_max_uncertainty,
     synthesize_min_time,
 )
-from helpers import arrival_time_grid, random_state, random_state_pair
+from helpers import arrival_time_grid, random_state, random_state_pair, scalar_efficiency
 
 HALF = 1.0 / np.sqrt(2.0)
 PLUS = np.array([HALF, HALF])
@@ -367,6 +369,111 @@ def test_efficiency_rejects_bad_trajectories():
         efficiency([ZERO])
     with pytest.raises(ValueError):
         efficiency([ZERO, np.exp(1j * 0.2) * ZERO, PLUS])
+
+
+def _outcome(walk, trajectory):
+    """The report's repr, which fixes every bit of its floats, or the error's type and text."""
+    try:
+        return repr(walk(trajectory))
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _sampled_trajectory(rng, samples, route, energy, hbar, start=ZERO):
+    """Evolved samples from ``start`` to a random target, shape (samples, 2).
+
+    The time-minimizing route starts at the working-basis pole.
+    """
+    b = random_state(rng)
+    if route is Route.TIME_MINIMIZATION:
+        synthesis = synthesize_min_time(ZERO, b, energy, hbar=hbar)
+    else:
+        synthesis = synthesize_max_uncertainty(start, b, energy, hbar=hbar)
+    times = np.linspace(0.0, synthesis.t_min, samples)
+    return evolve_states(synthesis.hamiltonian, start, times, hbar=hbar)
+
+
+_DEFECTS = [
+    None,
+    "kinked",
+    "one sample",
+    "repeat",
+    "unnormalized",
+    "closed loop",
+    "repeat then unnormalized",
+    "unnormalized then repeat",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    samples=st.integers(2, 300),
+    route=st.sampled_from(list(Route)),
+    energy=st.floats(1e-3, 1e3),
+    hbar=st.floats(1e-2, 1e2),
+    defect=st.sampled_from(_DEFECTS),
+    where=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    scale=st.sampled_from([0.0, 0.5, 1.0 + 3e-12, 1.0 + 1e-9, 2.0, np.nan]),
+)
+def test_batched_efficiency_is_bitwise_the_pair_by_pair_walk(
+    seed, samples, route, energy, hbar, defect, where, scale
+):
+    rng = np.random.default_rng(seed)
+    states = _sampled_trajectory(rng, samples, route, energy, hbar)
+    first, second = sorted(int(w * (len(states) - 1)) for w in where)
+    if defect == "kinked":  # on to a second target from the end of the first leg
+        onward = _sampled_trajectory(
+            rng, samples, Route.UNCERTAINTY_MAXIMIZATION, energy, hbar, start=states[-1]
+        )
+        states = np.concatenate((states, onward[1:]))
+    elif defect == "one sample":
+        states = states[first : first + 1]
+    elif defect == "repeat":
+        states = np.insert(states, first, states[first], axis=0)
+    elif defect == "unnormalized":
+        states[first] *= scale
+    elif defect == "closed loop":
+        states = np.concatenate((states, states[-2::-1]))
+    elif defect == "repeat then unnormalized":
+        states = np.insert(states, first, states[first], axis=0)
+        states[min(second + 2, len(states) - 1)] *= scale
+    elif defect == "unnormalized then repeat":
+        states = np.insert(states, second, states[second], axis=0)
+        states[first] *= scale
+    assert _outcome(efficiency, states) == _outcome(scalar_efficiency, states)
+    assert _outcome(efficiency, list(states)) == _outcome(scalar_efficiency, states)
+
+
+_LINE = [ZERO, PLUS, PLUS_I]  # three samples at right angles on the sphere
+_COINCIDE = "consecutive samples coincide up to phase"
+_UNNORMALIZED = "both states must be normalized"
+
+
+@pytest.mark.parametrize(
+    "trajectory, message",
+    [
+        ([ZERO], "need at least 2 samples"),
+        ([], "need at least 2 samples"),
+        ([ZERO, ZERO, PLUS], _COINCIDE),
+        ([ZERO, 2.0 * PLUS, PLUS_I], _UNNORMALIZED),
+        ([ZERO, PLUS, ZERO], "trajectory endpoints coincide up to phase"),
+        ([ZERO, ZERO, PLUS, 2.0 * PLUS_I], _COINCIDE),
+        ([ZERO, 2.0 * PLUS, PLUS_I, PLUS_I], _UNNORMALIZED),
+        ([PLUS, ZERO, ZERO, np.nan * PLUS_I], _COINCIDE),
+        ([ZERO, np.array([np.inf, 0.0]), PLUS], _UNNORMALIZED),
+        ([ZERO, [1.0, 0.0, 0.0], PLUS], "expected a complex 2-vector, got shape (3,)"),
+        ([ZERO, PLUS, PLUS_I.reshape(2, 1)], None),
+        (np.array(_LINE).reshape(3, 1, 2), None),
+    ],
+)
+def test_efficiency_raises_for_the_first_failing_pair_as_the_walk_does(trajectory, message):
+    outcome = _outcome(efficiency, trajectory)
+    assert outcome == _outcome(scalar_efficiency, trajectory)
+    if message is None:
+        assert outcome == repr(scalar_efficiency(_LINE))
+    else:
+        assert outcome == (ValueError, message)
 
 
 # ---------------------------------------------------------------------------
