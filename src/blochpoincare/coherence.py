@@ -162,9 +162,7 @@ def bisector_geometry(j) -> BisectorReport:
     s2 = (j[0, 1] + j[1, 0]).real
     scale = max(1.0, report.total_intensity)
     if abs(s1) <= 1e-12 * scale and abs(s2) <= 1e-12 * scale:
-        raise ValueError(
-            "degenerate: polarized part is circular, principal axes undefined"
-        )
+        raise ValueError("degenerate: polarized part is circular, principal axes undefined")
 
     chi = orientation_angle(j)
     phi_opt = optimal_rotation(j).phi_opt
@@ -273,8 +271,7 @@ class CorrespondenceReport:
         return "\n".join(lines)
 
 
-def _check_pairing(quantum: QuantumScenario, optical: OpticalScenario) -> tuple:
-    """The beam's coherency matrix and its report, once the two sides are checked to pair."""
+def _check_pairing(quantum: QuantumScenario, optical: OpticalScenario) -> tuple[np.ndarray, float]:
     a = as_state(quantum.initial_state)
     b = as_state(quantum.final_state)
     pairing = "mismatched scenario pairing: "
@@ -291,7 +288,7 @@ def _check_pairing(quantum: QuantumScenario, optical: OpticalScenario) -> tuple:
     i_pol = report.p * report.total_intensity
     drift = abs(optical.ledger.i_pol_before - i_pol)
     gate(drift, 1e-8 * max(1.0, i_pol), pairing + "ledger is for a different beam", ValueError)
-    return j, report
+    return j, i_pol
 
 
 def correspondence_report(
@@ -305,12 +302,11 @@ def correspondence_report(
     compared quantities are dimensionless residuals; no unit bridge between
     energy and intensity is attempted.
     """
-    j, report = _check_pairing(quantum, optical)
+    j, i_pol = _check_pairing(quantum, optical)
     h = quantum.synthesis.hamiltonian
     gap = h.gap
     m = h.matrix
     rotated = rotate_coherency(j, optical.rotation.phi_opt)
-    i_pol = report.p * report.total_intensity
 
     # Constraint conservation: gap identity on the quantum side, polarized
     # intensity under rotation on the optical side.

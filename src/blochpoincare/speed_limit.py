@@ -262,10 +262,7 @@ def efficiency(trajectory: Sequence[np.ndarray]) -> EfficiencyReport:
     directly. The ratio is clamped to 1 from above (it exceeds 1 only by
     floating-point noise; the triangle inequality bounds the exact value).
     """
-    try:
-        states = np.asarray(trajectory, dtype=complex).reshape(len(trajectory), 2)
-    except (TypeError, ValueError):  # as_state reads each sample, or names the first bad one
-        states = np.array([as_state(s) for s in trajectory])
+    states = np.array([as_state(s) for s in trajectory])
     if len(states) < 2:
         raise ValueError("need at least 2 samples")
     with np.errstate(over="ignore", invalid="ignore"):  # such rows fail the checks below

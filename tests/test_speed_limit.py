@@ -26,7 +26,13 @@ from blochpoincare.speed_limit import (
     synthesize_max_uncertainty,
     synthesize_min_time,
 )
-from helpers import arrival_time_grid, random_state, random_state_pair, scalar_efficiency
+from helpers import (
+    arrival_time_grid,
+    bitwise_equal,
+    random_state,
+    random_state_pair,
+    scalar_efficiency,
+)
 
 HALF = 1.0 / np.sqrt(2.0)
 PLUS = np.array([HALF, HALF])
@@ -403,6 +409,19 @@ _DEFECTS = [
     "repeat then unnormalized",
     "unnormalized then repeat",
 ]
+
+
+def test_vecdot_rounds_each_overlap_as_vdot():
+    # The batched walk forms norms and overlaps with np.vecdot, the pair walk
+    # with np.vdot (a BLAS dot kernel); the two reports agree bit for bit only
+    # while both round a 2-term product sum alike.
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=(2, 2000, 2)) + 1j * rng.normal(size=(2, 2000, 2))
+    single = np.array([np.vdot(x, y) for x, y in zip(a, b)])
+    assert bitwise_equal(np.vecdot(a, b), single), (
+        "np.vecdot and np.vdot round overlaps differently in the installed numpy/BLAS, "
+        "so the batched efficiency cannot match the pair walk bit for bit"
+    )
 
 
 @settings(max_examples=150, deadline=None)
