@@ -10,16 +10,12 @@ quantitatively.
 __version__ = "0.1.0"
 
 from .bloch import (
-    BlochAngles,
-    angles_from_state,
     bloch_vector,
     bloch_vectors,
     fidelities,
     fidelity,
     fubini_study_angle,
     orthogonal_state,
-    state_from_angles,
-    states_equal_up_to_phase,
 )
 from .coherence import (
     BisectorReport,
@@ -30,13 +26,10 @@ from .coherence import (
     RotationSolution,
     bisector_geometry,
     correspondence_report,
-    optical_efficiency,
     optimal_rotation,
     stokes_rotation_check,
 )
 from .interference import (
-    AnalogyTriple,
-    analogy_triple,
     classical_intensity,
     fringe_visibility,
     pancharatnam_intensity,
@@ -52,19 +45,12 @@ from .mueller import (
 )
 from .numerics import matrix_exponential_su2, su2_propagators
 from .polarization import (
-    FieldAmplitudes,
     PolarizationReport,
     WienerDecomposition,
-    coherency_from_stokes,
     degree_of_polarization,
     partial_coherence_profile,
-    poincare_from_angles,
-    poincare_vector,
-    polarization_state_from_angles,
     rotate_coherency,
     stokes_from_coherency,
-    stokes_from_fields,
-    verify_ellipse_point,
     wiener_decompose,
 )
 from .speed_limit import (
@@ -74,7 +60,6 @@ from .speed_limit import (
     SynthesisResult,
     basis_rotation_to_pole,
     efficiency,
-    energy_uncertainty,
     evolve_state,
     evolve_states,
     geodesic_state,

@@ -1,26 +1,15 @@
-"""Pure-state qubit geometry: sphere angles, unit vectors, and distances.
+"""Pure-state qubit geometry: unit vectors, overlaps, and distances.
 
 States are plain complex ndarrays of shape (2,), stacked as (N, 2) for the
 batched kernels. Global phase is physically irrelevant; comparisons between
-states go through the up-to-phase helpers.
+states go through overlap moduli, which ignore it.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .numerics import _squares
-
-TWO_PI = 2.0 * np.pi
-
-
-class BlochAngles(NamedTuple):
-    """Polar angle theta in [0, pi] and azimuth phi in [0, 2*pi)."""
-
-    theta: float
-    phi: float
 
 
 def as_state(vec) -> np.ndarray:
@@ -59,38 +48,10 @@ def fidelity(a, b) -> float:
     return abs(overlap(a, b)) ** 2
 
 
-def states_equal_up_to_phase(a, b, tol: float = 1e-10) -> bool:
-    """True when a and b describe the same ray, i.e. |<a|b>| = 1 within tol."""
-    return bool(abs(abs(overlap(a, b)) - 1.0) <= tol)
-
-
 def orthogonal_state(state) -> np.ndarray:
     """The unique (up to phase) state orthogonal to the input."""
     s = normalize(state)
     return np.array([-np.conj(s[1]), np.conj(s[0])], dtype=complex)
-
-
-def state_from_angles(theta: float, phi: float) -> np.ndarray:
-    """State cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
-    if not 0.0 <= theta <= np.pi:
-        raise ValueError(f"theta={theta!r} outside [0, pi]")
-    if not 0.0 <= phi < TWO_PI:
-        raise ValueError(f"phi={phi!r} outside [0, 2*pi)")
-    return np.array(
-        [np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], dtype=complex
-    )
-
-
-def angles_from_state(state) -> BlochAngles:
-    """Inverse of state_from_angles; phi is canonically 0 at the poles."""
-    s = as_state(state)
-    if not is_normalized(s):
-        raise ValueError("state must be normalized")
-    theta = 2.0 * np.arctan2(abs(s[1]), abs(s[0]))
-    if abs(s[0]) <= 1e-12 or abs(s[1]) <= 1e-12:
-        return BlochAngles(float(theta), 0.0)
-    phi = float(np.angle(s[1]) - np.angle(s[0])) % TWO_PI
-    return BlochAngles(float(theta), phi)
 
 
 def bloch_vectors(states) -> np.ndarray:

@@ -115,14 +115,6 @@ def optimal_rotation(j) -> RotationSolution:
     )
 
 
-def optical_efficiency(j) -> float:
-    """Ratio of the degree of coherence to the degree of polarization."""
-    report = degree_of_polarization(j)
-    if report.p <= 1e-12:
-        raise ValueError("optical efficiency undefined at P = 0")
-    return report.coherence_magnitude / report.p
-
-
 def stokes_rotation_check(s, phi: float) -> ConstraintLedger:
     """Apply the rotator Mueller matrix and record the conserved quantities.
 

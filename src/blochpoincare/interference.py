@@ -4,21 +4,17 @@ Classical partially coherent vibrations, superposed elliptically polarized
 beams, and quantum probability amplitudes all combine as
 base + cross-term * cosine; the cross-term carries the degree of coherence,
 the half-separation cosine on the polarization sphere, or the state overlap
-respectively. The three coefficients coincide under the sphere
-correspondence, which ``analogy_triple`` checks numerically. Each law
-broadcasts over its angle, phase and amplitude arguments, so a sweep is one
-call; scalar arguments give a float.
+respectively, and the three coincide under the sphere correspondence. Each
+law broadcasts over its angle, phase and amplitude arguments, so a sweep is
+one call; scalar arguments give a float.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
-
 import numpy as np
 
-from .bloch import as_state, bloch_vector, is_normalized, overlap
-from .numerics import _squares, gate
+from .bloch import as_state, is_normalized, overlap
+from .numerics import _squares
 from .polarization import _exact_rescale, degree_of_polarization, validate_coherency
 
 
@@ -108,46 +104,3 @@ def quantum_probability(a_amp, b_amp, state_a, state_b):
     phase = np.angle(inner) - (np.angle(a_amp) - np.angle(b_amp)) if inner != 0 else 0.0
     cross = 2.0 * np.sqrt(p_a * p_b) * abs(inner)
     return _value(p_a + p_b + cross * np.cos(phase))
-
-
-@dataclass(frozen=True)
-class AnalogyTriple:
-    """The three interference coefficients and whether they agree."""
-
-    coherence: float
-    poincare_cosine: float
-    bloch_cosine: float
-    matched: bool
-
-    def values(self) -> Tuple[float, float, float]:
-        return self.coherence, self.poincare_cosine, self.bloch_cosine
-
-
-def analogy_triple(j, a, b, tol: float = 1e-10) -> AnalogyTriple:
-    """Degree of coherence vs the two half-separation cosines.
-
-    The coherency matrix must already be in its equal-diagonal frame (where
-    the coherence is maximal). The sphere cosine is computed from the unit
-    vectors of the two states, the state cosine directly from |<a|b>|; the
-    caller declares the pairing, and ``tol`` decides whether the triple
-    counts as matched.
-    """
-    j = validate_coherency(j)
-    scale = max(1.0, abs(j[0, 0].real) + abs(j[1, 1].real))
-    message = "coherency matrix must be in the equal-diagonal frame"
-    gate(abs((j[0, 0] - j[1, 1]).real), 1e-9 * scale, message, ValueError)
-    coherence = degree_of_polarization(j).coherence_magnitude
-
-    na, nb = bloch_vector(a), bloch_vector(b)
-    cos_full = float(np.clip(np.dot(na, nb), -1.0, 1.0))
-    poincare_cosine = float(np.sqrt((1.0 + cos_full) / 2.0))
-    bloch_cosine = float(abs(overlap(a, b)))
-    spread = max(coherence, poincare_cosine, bloch_cosine) - min(
-        coherence, poincare_cosine, bloch_cosine
-    )
-    return AnalogyTriple(
-        coherence=coherence,
-        poincare_cosine=poincare_cosine,
-        bloch_cosine=bloch_cosine,
-        matched=bool(spread <= tol),
-    )

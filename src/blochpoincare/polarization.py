@@ -1,4 +1,4 @@
-"""Polarization calculus: fields, Stokes parameters, coherency matrices.
+"""Polarization calculus: Stokes parameters, coherency matrices, beam splits.
 
 Stokes vectors are real ndarrays of shape (4,); coherency matrices are
 Hermitian complex ndarrays of shape (2, 2) built from time-averaged field
@@ -12,50 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import bloch_vector as _pauli_expectation_vector
 from .numerics import gate
 
-TWO_PI = 2.0 * np.pi
-
 _BOUND_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class FieldAmplitudes:
-    """Monochromatic transverse field: amplitudes, phases, angular frequency.
-
-    The real field components are e0x*cos(omega*t + delta_x) and
-    e0y*cos(omega*t + delta_y).
-    """
-
-    e0x: float
-    e0y: float
-    delta_x: float
-    delta_y: float
-    omega: float
-
-    def __post_init__(self):
-        if self.e0x < 0.0 or self.e0y < 0.0:
-            raise ValueError("amplitudes must be nonnegative")
-        if self.e0x == 0.0 and self.e0y == 0.0:
-            raise ValueError("at least one amplitude must be nonzero")
-        if self.omega <= 0.0:
-            raise ValueError("angular frequency must be positive")
-
-    @property
-    def delta(self) -> float:
-        """Relative phase delta_x - delta_y."""
-        return self.delta_x - self.delta_y
-
-    @property
-    def period(self) -> float:
-        return TWO_PI / self.omega
-
-    def ex(self, t: float) -> float:
-        return self.e0x * np.cos(self.omega * t + self.delta_x)
-
-    def ey(self, t: float) -> float:
-        return self.e0y * np.cos(self.omega * t + self.delta_y)
 
 
 @dataclass(frozen=True)
@@ -176,65 +135,6 @@ def check_ellipse_angles(beta: float, chi: float) -> None:
         raise ValueError(f"orientation angle {chi!r} outside [0, pi)")
 
 
-def stokes_from_fields(fields: FieldAmplitudes) -> np.ndarray:
-    """Stokes parameters of a monochromatic (fully polarized) wave."""
-    ex, ey = fields.e0x, fields.e0y
-    delta = fields.delta
-    return np.array(
-        [
-            ex * ex + ey * ey,
-            ex * ex - ey * ey,
-            2.0 * ex * ey * np.cos(delta),
-            2.0 * ex * ey * np.sin(delta),
-        ]
-    )
-
-
-def verify_ellipse_point(fields: FieldAmplitudes, t: float) -> float:
-    """Residual of the instantaneous polarization-ellipse identity at time t.
-
-    Evaluates Ex^2/E0x^2 + Ey^2/E0y^2 - 2 Ex Ey cos(delta)/(E0x E0y)
-    minus sin^2(delta); a monochromatic field satisfies it pointwise, so the
-    result is zero up to rounding.
-    """
-    if fields.e0x == 0.0 or fields.e0y == 0.0:
-        raise ValueError("ellipse identity needs both amplitudes positive")
-    ex, ey = fields.ex(t), fields.ey(t)
-    delta = fields.delta
-    lhs = (
-        (ex / fields.e0x) ** 2
-        + (ey / fields.e0y) ** 2
-        - 2.0 * ex * ey * np.cos(delta) / (fields.e0x * fields.e0y)
-    )
-    return float(lhs - np.sin(delta) ** 2)
-
-
-def poincare_from_angles(beta: float, chi: float, s0: float = 1.0) -> np.ndarray:
-    """Fully polarized Stokes vector at latitude 2*beta, longitude 2*chi."""
-    check_ellipse_angles(beta, chi)
-    if s0 <= 0.0:
-        raise ValueError("total intensity must be positive")
-    return np.array(
-        [
-            s0,
-            s0 * np.cos(2.0 * beta) * np.cos(2.0 * chi),
-            s0 * np.cos(2.0 * beta) * np.sin(2.0 * chi),
-            s0 * np.sin(2.0 * beta),
-        ]
-    )
-
-
-def coherency_from_stokes(s) -> np.ndarray:
-    s = as_stokes(s)
-    return np.array(
-        [
-            [(s[0] + s[1]) / 2.0, (s[2] + 1j * s[3]) / 2.0],
-            [(s[2] - 1j * s[3]) / 2.0, (s[0] - s[1]) / 2.0],
-        ],
-        dtype=complex,
-    )
-
-
 def stokes_from_coherency(j) -> np.ndarray:
     j = as_coherency(j)
     return np.array(
@@ -351,24 +251,3 @@ def partial_coherence_profile(beta: float, chi: float, p: float) -> float:
         # ratio tends to 1 = p; return the limit.
         return float(p)
     return float(p * np.sqrt(max(0.0, 1.0 - c_sq) / denom))
-
-
-def polarization_state_from_angles(beta: float, chi: float) -> np.ndarray:
-    """Normalized polarization state on the circular (RC, LC) basis."""
-    check_ellipse_angles(beta, chi)
-    return np.array(
-        [
-            (np.cos(beta) + np.sin(beta)) / np.sqrt(2.0),
-            np.exp(2j * chi) * (np.cos(beta) - np.sin(beta)) / np.sqrt(2.0),
-        ],
-        dtype=complex,
-    )
-
-
-def poincare_vector(circular_state) -> np.ndarray:
-    """Unit sphere point of a circular-basis polarization state.
-
-    Same Pauli expectation map as the qubit sphere: the two unit spheres are
-    images of each other under this common construction.
-    """
-    return _pauli_expectation_vector(circular_state)

@@ -78,16 +78,6 @@ class Hamiltonian2:
     def trace_part(self) -> float:
         return pauli_components(self.matrix)[0]
 
-    @property
-    def pauli_vector(self) -> np.ndarray:
-        _, ax, ay, az = pauli_components(self.matrix)
-        return np.array([ax, ay, az])
-
-    @property
-    def strength(self) -> float:
-        """Norm of the Pauli vector; equals half the eigenvalue gap."""
-        return float(np.linalg.norm(self.pauli_vector))
-
     def traceless(self) -> np.ndarray:
         """The matrix with its trace part removed (same generated physics)."""
         return self.matrix - self.trace_part * np.eye(2)
@@ -242,16 +232,21 @@ def geodesic_state(a, b, e: float, t: float, hbar: float = 1.0) -> np.ndarray:
     return coeff_a * a + coeff_b * b_fixed
 
 
-def energy_uncertainty(h: Hamiltonian2, state) -> float:
-    """Dispersion [<H^2> - <H>^2]^(1/2) in the given (normalizable) state."""
-    s = as_state(state)
-    norm_sq = float(np.vdot(s, s).real)
-    if norm_sq <= 0.0:
-        raise ValueError("state must be nonzero")
-    hs = h.matrix @ s
-    mean = float(np.real(np.vdot(s, hs))) / norm_sq
-    mean_sq = float(np.real(np.vdot(hs, hs))) / norm_sq
-    return float(np.sqrt(max(0.0, mean_sq - mean * mean)))
+def _separations(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sphere angles 2 arccos|<a|b>| of the paired rows of a and b, and which pairs are apart.
+
+    A pair is apart when its angle and twice its chord |b - a <a|b>/|<a|b>||
+    (about the angle, for close rays) both exceed 1e-12. The chord is exact
+    for close rays and the angle is not: an overlap that rounds just below 1
+    gives an angle of about 3e-8, so on its angle alone an exact repeat passes.
+    """
+    inner = np.vecdot(a, b)
+    # hypot, not np.abs: it rounds as the scalar abs of one overlap does.
+    moduli = np.hypot(inner.real, inner.imag)
+    angles = 2.0 * np.arccos(np.minimum(1.0, moduli))
+    phases = np.divide(inner, moduli, out=np.ones_like(inner), where=moduli > 0.0)
+    chords = np.linalg.norm(b - a * phases[:, None], axis=-1)
+    return angles, (angles > 1e-12) & (2.0 * chords > 1e-12)
 
 
 def efficiency(trajectory: Sequence[np.ndarray]) -> EfficiencyReport:
@@ -267,19 +262,20 @@ def efficiency(trajectory: Sequence[np.ndarray]) -> EfficiencyReport:
         raise ValueError("need at least 2 samples")
     with np.errstate(over="ignore", invalid="ignore"):  # such rows fail the checks below
         normalized = np.abs(np.vecdot(states, states).real - 1.0) <= 1e-12
-        inner = np.vecdot(states[:-1], states[1:])
-        # hypot, not np.abs: it rounds as the scalar abs of one overlap does.
-        segments = 2.0 * np.arccos(np.minimum(1.0, np.hypot(inner.real, inner.imag)))
+        # The consecutive pairs, then the endpoints as one more pair.
+        angles, apart = _separations(
+            np.concatenate((states[:-1], states[:1])), np.concatenate((states[1:], states[-1:]))
+        )
     # The first failing pair in order raises, for its normalization before a coincidence.
-    failing = np.flatnonzero(~(normalized[:-1] & normalized[1:] & (segments > 1e-12)))
+    failing = np.flatnonzero(~(normalized[:-1] & normalized[1:] & apart[:-1]))
     if failing.size:
         if not normalized[failing[0] : failing[0] + 2].all():
             raise ValueError("both states must be normalized")
         raise ValueError("consecutive samples coincide up to phase")
-    geodesic_length = fubini_study_angle(states[0], states[-1])
-    if not geodesic_length > 1e-12:
+    if not apart[-1]:
         raise ValueError("trajectory endpoints coincide up to phase")
-    path_length = sum(segments.tolist())  # in trajectory order, as a running sum
+    geodesic_length = float(angles[-1])
+    path_length = sum(angles[:-1].tolist())  # in trajectory order, as a running sum
     eta = geodesic_length / path_length
     gate(eta, 1.0 + 1e-9, f"inconsistent trajectory: eta = {eta!r} exceeds 1")
     return EfficiencyReport(

@@ -15,7 +15,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from blochpoincare.bloch import as_state, fubini_study_angle, is_normalized, overlap
+from blochpoincare.bloch import as_state, bloch_vector, fubini_study_angle, is_normalized, overlap
 from blochpoincare.mueller import _DEFAULT_PROBE_SEED, MuellerClass
 from blochpoincare.numerics import (
     IDENTITY2,
@@ -82,6 +82,63 @@ def random_coherency(rng, min_p=0.0, max_p=1.0):
         p = np.sqrt(max(0.0, 1.0 - 4.0 * det / trace**2))
         if min_p < p < max_p:
             return j
+
+
+def state_from_angles(theta, phi):
+    """State cos(theta/2)|0> + e^{i phi} sin(theta/2)|1> at sphere angles (theta, phi)."""
+    return np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
+
+
+def states_equal_up_to_phase(a, b, tol=1e-10):
+    """True when a and b describe the same ray, i.e. |<a|b>| = 1 within tol."""
+    return abs(abs(np.vdot(a, b)) - 1.0) <= tol
+
+
+def energy_uncertainty(h, state):
+    """Dispersion [<H^2> - <H>^2]^(1/2) of a Hamiltonian2 in a (normalizable) state."""
+    s = np.asarray(state, dtype=complex)
+    norm_sq = np.vdot(s, s).real
+    hs = h.matrix @ s
+    mean = np.vdot(s, hs).real / norm_sq
+    mean_sq = np.vdot(hs, hs).real / norm_sq
+    return float(np.sqrt(max(0.0, mean_sq - mean * mean)))
+
+
+def coherency_from_stokes(s):
+    """Coherency matrix of a Stokes 4-vector: the inverse of stokes_from_coherency."""
+    return np.array(
+        [
+            [(s[0] + s[1]) / 2.0, (s[2] + 1j * s[3]) / 2.0],
+            [(s[2] - 1j * s[3]) / 2.0, (s[0] - s[1]) / 2.0],
+        ],
+        dtype=complex,
+    )
+
+
+def ellipse_residual(delta_x, delta_y, phase):
+    """The polarization-ellipse identity at one instant, left side minus right.
+
+    With Ex/E0x = cos(phase + delta_x), Ey/E0y = cos(phase + delta_y) and
+    delta = delta_x - delta_y, a monochromatic field satisfies
+    (Ex/E0x)^2 + (Ey/E0y)^2 - 2 (Ex/E0x)(Ey/E0y) cos(delta) = sin^2(delta)
+    at every phase = omega t.
+    """
+    x, y = np.cos(phase + delta_x), np.cos(phase + delta_y)
+    delta = delta_x - delta_y
+    return float(x * x + y * y - 2.0 * x * y * np.cos(delta) - np.sin(delta) ** 2)
+
+
+def interference_coefficients(j, a, b):
+    """The cross-term coefficients of the three interference laws.
+
+    The degree of coherence |j_xy| of a beam (maximal in its equal-diagonal
+    frame), the half-separation cosine cos(theta/2) of two states' unit
+    vectors, and their overlap |<a|b>|: the three agree under the sphere
+    correspondence.
+    """
+    coherence = degree_of_polarization(j).coherence_magnitude
+    cos_full = float(np.clip(np.dot(bloch_vector(a), bloch_vector(b)), -1.0, 1.0))
+    return coherence, float(np.sqrt((1.0 + cos_full) / 2.0)), abs(overlap(a, b))
 
 
 def series_expm(matrix, squarings=12):
@@ -377,6 +434,13 @@ def scalar_classify_mueller(m, probes=1000, seed=_DEFAULT_PROBE_SEED):
     return MuellerClass.DEPOLARIZING if depolarizes else MuellerClass.NONDEPOLARIZING
 
 
+def _scalar_apart(a, b, angle):
+    """Whether one pair of samples is apart: its angle and twice its chord both exceed 1e-12."""
+    inner = complex(np.vdot(a, b))
+    phase = inner / abs(inner) if inner != 0 else 1.0
+    return angle > 1e-12 and 2.0 * float(np.linalg.norm(b - a * phase)) > 1e-12
+
+
 def scalar_efficiency(trajectory):
     """The efficiency report by a walk over consecutive samples, one pair at a time."""
     states = [as_state(s) for s in trajectory]
@@ -385,11 +449,11 @@ def scalar_efficiency(trajectory):
     segments = []
     for prev, curr in zip(states[:-1], states[1:]):
         seg = fubini_study_angle(prev, curr)
-        if not seg > 1e-12:
+        if not _scalar_apart(prev, curr, seg):
             raise ValueError("consecutive samples coincide up to phase")
         segments.append(seg)
     geodesic_length = fubini_study_angle(states[0], states[-1])
-    if not geodesic_length > 1e-12:
+    if not _scalar_apart(states[0], states[-1], geodesic_length):
         raise ValueError("trajectory endpoints coincide up to phase")
     path_length = float(sum(segments))
     eta = geodesic_length / path_length

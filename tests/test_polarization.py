@@ -3,175 +3,42 @@ import itertools
 import numpy as np
 import pytest
 
-from blochpoincare.bloch import states_equal_up_to_phase
 from blochpoincare.polarization import (
-    FieldAmplitudes,
-    coherency_from_stokes,
     degree_of_polarization,
     orientation_angle,
     partial_coherence_profile,
-    poincare_from_angles,
-    poincare_vector,
-    polarization_state_from_angles,
     rotate_coherency,
     stokes_from_coherency,
-    stokes_from_fields,
     validate_coherency,
     validate_stokes,
-    verify_ellipse_point,
     wiener_decompose,
 )
 from helpers import (
     bitwise_equal,
     coherence_magnitude,
+    coherency_from_stokes,
     conjugate_coherency,
+    ellipse_residual,
     random_coherency,
-    time_average_quadrature,
 )
 
 J_WORKED = np.array([[3.0, 1.0], [1.0, 1.0]], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
-# Fields and Stokes parameters
+# Polarization ellipse
 # ---------------------------------------------------------------------------
-
-
-def test_stokes_from_fields_reference_beams():
-    assert np.allclose(
-        stokes_from_fields(FieldAmplitudes(1.0, 0.0, 0.3, 0.9, 1.0)), [1, 1, 0, 0]
-    )
-    s = 1.0 / np.sqrt(2.0)
-    circular = FieldAmplitudes(s, s, np.pi / 2.0, 0.0, 1.0)
-    assert np.allclose(stokes_from_fields(circular), [1, 0, 0, 1], atol=1e-15)
-    diagonal = FieldAmplitudes(s, s, 0.0, 0.0, 1.0)
-    assert np.allclose(stokes_from_fields(diagonal), [1, 0, 1, 0], atol=1e-15)
-
-
-def test_stokes_from_fields_fully_polarized_identity():
-    rng = np.random.default_rng(101)
-    for _ in range(200):
-        f = FieldAmplitudes(
-            rng.uniform(0.1, 2.0),
-            rng.uniform(0.1, 2.0),
-            rng.uniform(0, 2 * np.pi),
-            rng.uniform(0, 2 * np.pi),
-            rng.uniform(0.5, 5.0),
-        )
-        s = validate_stokes(stokes_from_fields(f))
-        assert abs(s[0] ** 2 - (s[1] ** 2 + s[2] ** 2 + s[3] ** 2)) < 1e-10
-
-
-def test_stokes_match_time_average_quadrature():
-    # The S parameters are (twice) period averages of real field products;
-    # the circular component needs the quarter-period-advanced y field.
-    rng = np.random.default_rng(103)
-    for _ in range(10):
-        f = FieldAmplitudes(
-            rng.uniform(0.2, 1.5),
-            rng.uniform(0.2, 1.5),
-            rng.uniform(0, 2 * np.pi),
-            rng.uniform(0, 2 * np.pi),
-            rng.uniform(0.5, 4.0),
-        )
-        shifted = FieldAmplitudes(f.e0x, f.e0y, f.delta_x, f.delta_y + np.pi / 2.0, f.omega)
-        n = 4096
-        xx = time_average_quadrature(lambda t: f.ex(t) * f.ex(t), f.period, n)
-        yy = time_average_quadrature(lambda t: f.ey(t) * f.ey(t), f.period, n)
-        xy = time_average_quadrature(lambda t: f.ex(t) * f.ey(t), f.period, n)
-        xy_quarter = time_average_quadrature(
-            lambda t: f.ex(t) * shifted.ey(t), f.period, n
-        )
-        s = stokes_from_fields(f)
-        assert abs(s[0] - 2.0 * (xx + yy)) < 1e-8
-        assert abs(s[1] - 2.0 * (xx - yy)) < 1e-8
-        assert abs(s[2] - 4.0 * xy) < 1e-8
-        assert abs(s[3] - 4.0 * xy_quarter) < 1e-8
-
-
-def test_field_amplitudes_validation():
-    with pytest.raises(ValueError):
-        FieldAmplitudes(-1.0, 1.0, 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        FieldAmplitudes(0.0, 0.0, 0.0, 0.0, 1.0)
 
 
 def test_ellipse_identity_pointwise():
-    f = FieldAmplitudes(1.0, 0.5, np.pi / 3.0, 0.0, 2.0)
-    assert abs(verify_ellipse_point(f, 0.0)) < 1e-10
+    assert abs(ellipse_residual(np.pi / 3.0, 0.0, 0.0)) < 1e-10
 
-    s = 1.0 / np.sqrt(2.0)
-    circular = FieldAmplitudes(s, s, np.pi / 2.0, 0.0, 1.0)
     rng = np.random.default_rng(107)
-    for t in rng.uniform(0.0, 20.0, size=100):
-        assert abs(verify_ellipse_point(circular, float(t))) < 1e-10
+    for phase in rng.uniform(0.0, 20.0, size=100):  # circular light
+        assert abs(ellipse_residual(np.pi / 2.0, 0.0, float(phase))) < 1e-10
 
-    # full-period sweep doubles as the time-average oracle input
-    for t in np.linspace(0.0, f.period, 257):
-        assert abs(verify_ellipse_point(f, float(t))) < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# Sphere parametrization
-# ---------------------------------------------------------------------------
-
-
-def test_poincare_from_angles_reference_points():
-    assert np.allclose(poincare_from_angles(np.pi / 4.0, 0.7), [1, 0, 0, 1], atol=1e-15)
-    assert np.allclose(poincare_from_angles(0.0, 0.0), [1, 1, 0, 0])
-    assert np.allclose(poincare_from_angles(0.0, np.pi / 4.0), [1, 0, 1, 0], atol=1e-15)
-
-
-def test_poincare_from_angles_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        poincare_from_angles(np.pi / 2.0, 0.0)
-    with pytest.raises(ValueError):
-        poincare_from_angles(0.0, np.pi)
-    with pytest.raises(ValueError):
-        poincare_from_angles(0.0, 0.0, s0=0.0)
-
-
-def test_polarization_state_circular_basis_points():
-    # Poles are the circular basis vectors; equator points are linear states.
-    assert np.allclose(polarization_state_from_angles(np.pi / 4.0, 0.0), [1.0, 0.0])
-    s = 1.0 / np.sqrt(2.0)
-    horizontal = np.array([s, s])
-    vertical = np.array([1j * s, -1j * s])
-    assert states_equal_up_to_phase(polarization_state_from_angles(0.0, 0.0), horizontal)
-    assert states_equal_up_to_phase(
-        polarization_state_from_angles(0.0, np.pi / 2.0), vertical
-    )
-    # Circular-basis relation RC = (HL - i VL)/sqrt(2), exactly.
-    rc = (horizontal - 1j * vertical) / np.sqrt(2.0)
-    assert np.allclose(rc, [1.0, 0.0], atol=1e-15)
-
-
-def test_polarization_state_matches_stokes_parametrization():
-    rng = np.random.default_rng(109)
-    for _ in range(100):
-        beta = rng.uniform(-np.pi / 4.0 + 1e-6, np.pi / 4.0)
-        chi = rng.uniform(0.0, np.pi - 1e-9)
-        vec = poincare_vector(polarization_state_from_angles(beta, chi))
-        stokes = poincare_from_angles(beta, chi)
-        assert np.max(np.abs(vec - stokes[1:])) < 1e-10
-
-
-def test_poincare_metric_matches_chord_to_second_order():
-    # |dn|^2 against 4 [d beta^2 + cos^2(2 beta) d chi^2], midpoint form.
-    rng = np.random.default_rng(113)
-    step = 1e-4
-    for _ in range(10):
-        beta = rng.uniform(-np.pi / 4.0 + 0.15, np.pi / 4.0 - 0.15)
-        chi = rng.uniform(0.1, np.pi - 0.1)
-        d_beta = step * rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0])
-        d_chi = step * rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0])
-        chord = poincare_vector(
-            polarization_state_from_angles(beta + d_beta, chi + d_chi)
-        ) - poincare_vector(polarization_state_from_angles(beta, chi))
-        form = 4.0 * (
-            d_beta**2 + np.cos(2.0 * (beta + d_beta / 2.0)) ** 2 * d_chi**2
-        )
-        assert abs(np.dot(chord, chord) - form) / form < 1e-4
+    for phase in np.linspace(0.0, 2.0 * np.pi, 257):  # one full period
+        assert abs(ellipse_residual(np.pi / 3.0, 0.0, float(phase))) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,15 @@ from blochpoincare.bloch import (
     fidelity,
     fubini_study_angle,
     orthogonal_state,
-    states_equal_up_to_phase,
 )
 from blochpoincare import speed_limit
-from blochpoincare.numerics import PAULI_X, PAULI_Y
+from blochpoincare.numerics import PAULI_X, PAULI_Y, pauli_components
 from blochpoincare.speed_limit import (
     Hamiltonian2,
     Route,
     UnrepresentableTimeError,
     basis_rotation_to_pole,
     efficiency,
-    energy_uncertainty,
     evolve_state,
     evolve_states,
     geodesic_state,
@@ -29,9 +27,11 @@ from blochpoincare.speed_limit import (
 from helpers import (
     arrival_time_grid,
     bitwise_equal,
+    energy_uncertainty,
     random_state,
     random_state_pair,
     scalar_efficiency,
+    states_equal_up_to_phase,
 )
 
 HALF = 1.0 / np.sqrt(2.0)
@@ -62,7 +62,8 @@ def test_hamiltonian_gap_identity_and_orthonormal_eigenvectors():
         lo, hi = h.eigenstates
         assert abs(np.vdot(lo, hi)) < 1e-12
         assert abs(np.linalg.norm(lo) - 1.0) < 1e-12
-        assert abs(h.strength - h.gap / 2.0) < 1e-12
+        _, ax, ay, az = pauli_components(m)
+        assert abs(np.sqrt(ax * ax + ay * ay + az * az) - h.gap / 2.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +341,6 @@ def test_energy_uncertainty_two_to_one_superposition():
     assert abs(energy_uncertainty(h, state) - np.sqrt(mean_sq - mean**2)) < 1e-12
 
 
-def test_energy_uncertainty_rejects_zero_vector():
-    h = Hamiltonian2(np.eye(2, dtype=complex))
-    with pytest.raises(ValueError):
-        energy_uncertainty(h, np.zeros(2))
-
-
 # ---------------------------------------------------------------------------
 # Geometric efficiency
 # ---------------------------------------------------------------------------
@@ -493,6 +488,19 @@ def test_efficiency_raises_for_the_first_failing_pair_as_the_walk_does(trajector
         assert outcome == repr(scalar_efficiency(_LINE))
     else:
         assert outcome == (ValueError, message)
+
+
+def test_efficiency_rejects_exact_repeats_of_random_states():
+    # For about a third of random states |<s|s>| rounds below 1, and
+    # 2 arccos|<s|s>| is about 3e-8: their repeats are caught by the chord.
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        s, w = random_state(rng), random_state(rng)
+        for walk in (efficiency, scalar_efficiency):
+            with pytest.raises(ValueError, match=_COINCIDE):
+                walk([s, s, w])
+            with pytest.raises(ValueError, match="trajectory endpoints coincide"):
+                walk([s, w, s])
 
 
 # ---------------------------------------------------------------------------
