@@ -30,6 +30,18 @@ def test_state_from_angles_poles_and_equator():
     )
 
 
+def test_bloch_vector_and_geodesic_angle_read_back_the_sphere_angles():
+    rng = np.random.default_rng(11)
+    north = np.array([1.0, 0.0])
+    for _ in range(200):
+        theta = rng.uniform(1e-3, np.pi - 1e-3)
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        state = state_from_angles(theta, phi)
+        expected = [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+        assert np.max(np.abs(bloch_vector(state) - expected)) < 1e-12
+        assert abs(fubini_study_angle(north, state) - theta) < 1e-10
+
+
 def test_bloch_vector_cardinal_states():
     assert np.allclose(bloch_vector([1.0, 0.0]), [0.0, 0.0, 1.0])
     s = 1.0 / np.sqrt(2.0)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from blochpoincare.bloch import bloch_vector, fubini_study_angle
 from blochpoincare.polarization import (
     degree_of_polarization,
     orientation_angle,
@@ -20,9 +21,99 @@ from helpers import (
     conjugate_coherency,
     ellipse_residual,
     random_coherency,
+    time_average_quadrature,
 )
 
 J_WORKED = np.array([[3.0, 1.0], [1.0, 1.0]], dtype=complex)
+HALF = 1.0 / np.sqrt(2.0)
+
+
+def field_coherency(e0x, e0y, delta_x, delta_y):
+    """Coherency E E^dagger of the monochromatic field with these amplitudes and phases."""
+    e = np.array([e0x * np.exp(1j * delta_x), e0y * np.exp(1j * delta_y)])
+    return np.outer(e, e.conj())
+
+
+def circular_state(beta, chi):
+    """Polarization state on the circular (RC, LC) basis at sphere angles (beta, chi)."""
+    return np.array(
+        [
+            (np.cos(beta) + np.sin(beta)) / np.sqrt(2.0),
+            np.exp(2j * chi) * (np.cos(beta) - np.sin(beta)) / np.sqrt(2.0),
+        ]
+    )
+
+
+def sphere_stokes(beta, chi, p=1.0):
+    """Unit-intensity Stokes vector at latitude 2 beta, longitude 2 chi, polarization p."""
+    return np.array(
+        [
+            1.0,
+            p * np.cos(2 * beta) * np.cos(2 * chi),
+            p * np.cos(2 * beta) * np.sin(2 * chi),
+            p * np.sin(2 * beta),
+        ]
+    )
+
+
+# ---------------------------------------------------------------------------
+# Fields and Stokes parameters
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fields, expected",
+    [
+        ((1.0, 0.0, 0.3, 0.9), [1, 1, 0, 0]),  # horizontal
+        ((0.0, 1.0, 0.3, 0.9), [1, -1, 0, 0]),  # vertical
+        ((HALF, HALF, 0.0, 0.0), [1, 0, 1, 0]),  # diagonal
+        ((HALF, HALF, np.pi, 0.0), [1, 0, -1, 0]),  # anti-diagonal
+        ((HALF, HALF, np.pi / 2.0, 0.0), [1, 0, 0, 1]),  # right circular
+        ((HALF, HALF, -np.pi / 2.0, 0.0), [1, 0, 0, -1]),  # left circular
+    ],
+)
+def test_stokes_of_field_reference_beams(fields, expected):
+    j = field_coherency(*fields)
+    assert np.allclose(stokes_from_coherency(j), expected, atol=1e-15)
+    assert abs(degree_of_polarization(j).p - 1.0) < 1e-7  # sqrt of a rounded zero
+
+
+def test_field_coherency_is_fully_polarized():
+    rng = np.random.default_rng(101)
+    for _ in range(200):
+        fields = (*rng.uniform(0.1, 2.0, size=2), *rng.uniform(0.0, 2.0 * np.pi, size=2))
+        s = validate_stokes(stokes_from_coherency(field_coherency(*fields)))
+        assert abs(s[0] ** 2 - (s[1] ** 2 + s[2] ** 2 + s[3] ** 2)) < 1e-10
+        assert abs(s[2] - 2.0 * fields[0] * fields[1] * np.cos(fields[2] - fields[3])) < 1e-12
+        assert abs(s[3] - 2.0 * fields[0] * fields[1] * np.sin(fields[2] - fields[3])) < 1e-12
+
+
+def test_field_stokes_match_time_average_quadrature():
+    # The S parameters are (twice) period averages of real field products;
+    # the circular component needs the quarter-period-advanced y field.
+    rng = np.random.default_rng(103)
+    for _ in range(10):
+        e0x, e0y = rng.uniform(0.2, 1.5, size=2)
+        dx, dy = rng.uniform(0.0, 2.0 * np.pi, size=2)
+        omega = rng.uniform(0.5, 4.0)
+        period = 2.0 * np.pi / omega
+
+        def ex(t):
+            return e0x * np.cos(omega * t + dx)
+
+        def ey(t, advance=0.0):
+            return e0y * np.cos(omega * t + dy + advance)
+
+        n = 4096
+        xx = time_average_quadrature(lambda t: ex(t) * ex(t), period, n)
+        yy = time_average_quadrature(lambda t: ey(t) * ey(t), period, n)
+        xy = time_average_quadrature(lambda t: ex(t) * ey(t), period, n)
+        xy_quarter = time_average_quadrature(lambda t: ex(t) * ey(t, np.pi / 2.0), period, n)
+        s = stokes_from_coherency(field_coherency(e0x, e0y, dx, dy))
+        assert abs(s[0] - 2.0 * (xx + yy)) < 1e-8
+        assert abs(s[1] - 2.0 * (xx - yy)) < 1e-8
+        assert abs(s[2] - 4.0 * xy) < 1e-8
+        assert abs(s[3] - 4.0 * xy_quarter) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +130,42 @@ def test_ellipse_identity_pointwise():
 
     for phase in np.linspace(0.0, 2.0 * np.pi, 257):  # one full period
         assert abs(ellipse_residual(np.pi / 3.0, 0.0, float(phase))) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Sphere parametrization
+# ---------------------------------------------------------------------------
+
+
+def test_circular_basis_state_maps_to_its_stokes_direction():
+    # The qubit sphere's Pauli map takes the circular-basis state at
+    # (beta, chi) to the Poincare point of the beam with those angles.
+    rng = np.random.default_rng(109)
+    for _ in range(100):
+        beta = rng.uniform(-np.pi / 4.0 + 1e-3, np.pi / 4.0 - 1e-3)
+        chi = rng.uniform(0.0, np.pi - 1e-9)
+        s = sphere_stokes(beta, chi)
+        assert np.max(np.abs(bloch_vector(circular_state(beta, chi)) - s[1:])) < 1e-10
+        j = coherency_from_stokes(s)
+        assert abs(orientation_angle(j) - chi) < 1e-9
+        assert abs(degree_of_polarization(j).p - 1.0) < 1e-7
+
+
+def test_poincare_metric_matches_chord_to_second_order():
+    # |dn|^2 against 4 [d beta^2 + cos^2(2 beta) d chi^2], midpoint form;
+    # the geodesic angle between the two states is |dn| to the same order.
+    rng = np.random.default_rng(113)
+    step = 1e-4
+    for _ in range(10):
+        beta = rng.uniform(-np.pi / 4.0 + 0.15, np.pi / 4.0 - 0.15)
+        chi = rng.uniform(0.1, np.pi - 0.1)
+        d_beta = step * rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0])
+        d_chi = step * rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0])
+        a, b = circular_state(beta, chi), circular_state(beta + d_beta, chi + d_chi)
+        chord = bloch_vector(b) - bloch_vector(a)
+        form = 4.0 * (d_beta**2 + np.cos(2.0 * (beta + d_beta / 2.0)) ** 2 * d_chi**2)
+        assert abs(np.dot(chord, chord) - form) / form < 1e-4
+        assert abs(fubini_study_angle(a, b) ** 2 - form) / form < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +415,30 @@ def test_profile_maximum_is_p_at_quarter_orientation():
             assert abs(partial_coherence_profile(beta, np.pi / 4.0, p) - p) < 1e-12
 
 
+def test_profile_of_circular_light_is_p_in_every_frame():
+    # beta = pi/4 closes the ellipticity range: its coherence is p at any chi.
+    for p in (0.0, 0.4, 1.0):
+        for chi in (0.0, 0.3, np.pi / 4.0, np.pi - 1e-9):
+            assert abs(partial_coherence_profile(np.pi / 4.0, chi, p) - p) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "beta, chi, p",
+    [
+        (np.pi / 2.0, 0.0, 0.5),
+        (-np.pi / 4.0, 0.0, 0.5),
+        (np.nan, 0.0, 0.5),
+        (0.0, np.pi, 0.5),
+        (0.0, -0.1, 0.5),
+        (0.0, 0.0, 1.5),
+        (0.0, 0.0, -0.1),
+    ],
+)
+def test_profile_rejects_out_of_range_arguments(beta, chi, p):
+    with pytest.raises(ValueError, match="outside|must lie in"):
+        partial_coherence_profile(beta, chi, p)
+
+
 def test_profile_vanishes_for_horizontal_linear():
     for p in (0.0, 0.3, 0.9, 0.999):
         assert partial_coherence_profile(0.0, 0.0, p) == 0.0
@@ -299,14 +450,7 @@ def test_profile_interior_value_cross_checked_against_constructed_beam():
     assert 0.0 < value < p
 
     # Build the beam explicitly and read the coherence off the matrix.
-    s = np.array(
-        [
-            1.0,
-            p * np.cos(2 * beta) * np.cos(2 * chi),
-            p * np.cos(2 * beta) * np.sin(2 * chi),
-            p * np.sin(2 * beta),
-        ]
-    )
+    s = sphere_stokes(beta, chi, p)
     direct = degree_of_polarization(coherency_from_stokes(s)).coherence_magnitude
     assert abs(value - direct) < 1e-12
 
@@ -325,13 +469,6 @@ def test_profile_matches_stokes_form():
         beta = rng.uniform(-np.pi / 4.0 + 1e-6, np.pi / 4.0)
         chi = rng.uniform(0.0, np.pi - 1e-9)
         p = rng.uniform(0.0, 0.999)
-        s = np.array(
-            [
-                1.0,
-                p * np.cos(2 * beta) * np.cos(2 * chi),
-                p * np.cos(2 * beta) * np.sin(2 * chi),
-                p * np.sin(2 * beta),
-            ]
-        )
+        s = sphere_stokes(beta, chi, p)
         expected = np.sqrt((s[2] ** 2 + s[3] ** 2) / (s[0] ** 2 - s[1] ** 2))
         assert abs(partial_coherence_profile(beta, chi, p) - expected) < 1e-12
