@@ -40,7 +40,6 @@ from blochpoincare.coherence import (
     bisector_geometry,
     correspondence_report,
     optimal_rotation,
-    stokes_rotation_check,
 )
 from blochpoincare.interference import (
     classical_intensity,
@@ -48,7 +47,6 @@ from blochpoincare.interference import (
     pancharatnam_intensity,
 )
 from blochpoincare.mueller import MuellerClass, classify_mueller, mueller_from_jones
-from blochpoincare.polarization import stokes_from_coherency
 from blochpoincare.speed_limit import (
     efficiency,
     evolve_states,
@@ -90,9 +88,8 @@ def test_correspondence_chain(benchmark):
 
     def chain():
         rotation = optimal_rotation(BEAM)
-        ledger = stokes_rotation_check(stokes_from_coherency(BEAM), rotation.phi_opt)
         quantum = QuantumScenario(synthesis, efficiency(trajectory), INITIAL, TARGET)
-        return correspondence_report(quantum, OpticalScenario(BEAM, rotation, ledger))
+        return correspondence_report(quantum, OpticalScenario(BEAM, rotation))
 
     assert benchmark(chain).all_passed
 

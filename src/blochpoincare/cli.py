@@ -393,26 +393,38 @@ def _gate_endpoint_fidelity(config: dict, value: float) -> None:
     gate(-value, -(1.0 - tol), message, NumericalGateError)
 
 
-def _run_evolve(config: dict, fmt: str, out_path: str, hbar: float) -> None:
-    params = config["parameters"]
+def _quantum_side(params: dict, hbar: float):
+    """``(initial, target, synthesis, times, states)`` of the config's pair on its route."""
     initial = _as_state_array(params["initial"])
     target = _as_state_array(params["target"])
     energy = float(params["energy"])
     samples = int(params.get("samples", _DEFAULT_SAMPLES))
     route = Route(params.get("route", Route.TIME_MINIMIZATION.value))
-
     try:
         if route is Route.TIME_MINIMIZATION:
-            result = synthesize_min_time(initial, target, energy, hbar=hbar)
+            synthesis = synthesize_min_time(initial, target, energy, hbar=hbar)
         else:
-            result = synthesize_max_uncertainty(initial, target, energy, hbar=hbar)
+            synthesis = synthesize_max_uncertainty(initial, target, energy, hbar=hbar)
     except UnrepresentableTimeError as exc:
         raise ConfigError(f"config fields 'parameters/energy' and 'hbar': {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    times = np.linspace(0.0, synthesis.t_min, samples)
+    states = evolve_states(synthesis.hamiltonian, initial, times, hbar=hbar)
+    return initial, target, synthesis, times, states
 
-    times = np.linspace(0.0, result.t_min, samples)
-    states = evolve_states(result.hamiltonian, initial, times, hbar=hbar)
+
+def _optical_side(params: dict):
+    """``(j, solution)``: the config's coherency matrix and its optimal frame."""
+    j = _as_matrix(params["coherency"])
+    try:
+        return j, optimal_rotation(j)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _run_evolve(config: dict, fmt: str, out_path: str, hbar: float) -> None:
+    _, target, result, times, states = _quantum_side(config["parameters"], hbar)
     drift = np.max(np.abs(np.vecdot(states, states).real - 1.0))
     gate(drift, 1e-10, "trajectory sample lost normalization", NumericalGateError)
     _gate_endpoint_fidelity(config, fidelity(target, states[-1]))
@@ -427,7 +439,7 @@ def _run_evolve(config: dict, fmt: str, out_path: str, hbar: float) -> None:
         emit_json(
             {
                 "kind": "evolve",
-                "route": route.value,
+                "route": result.route.value,
                 "t_min": result.t_min,
                 "delta_e": result.delta_e,
                 "hbar": hbar,
@@ -440,11 +452,7 @@ def _run_evolve(config: dict, fmt: str, out_path: str, hbar: float) -> None:
 
 
 def _run_optimize(config: dict, fmt: str, out_path: str) -> None:
-    j = _as_matrix(config["parameters"]["coherency"])
-    try:
-        solution = optimal_rotation(j)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    j, solution = _optical_side(config["parameters"])
     ledger = stokes_rotation_check(stokes_from_coherency(j), solution.phi_opt)
 
     # optimal_rotation gates the equalized diagonal and the coherence at P;
@@ -571,35 +579,24 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
 
 def _run_correspondence(config: dict, fmt: str, out_path: str, hbar: float) -> None:
     params = config["parameters"]
-    initial = _as_state_array(params["initial"])
-    target = _as_state_array(params["target"])
-    energy = float(params["energy"])
-    samples = int(params.get("samples", _DEFAULT_SAMPLES))
-    j = _as_matrix(params["coherency"])
-
-    try:
-        solution = optimal_rotation(j)
-        synthesis = synthesize_min_time(initial, target, energy, hbar=hbar)
-    except UnrepresentableTimeError as exc:
-        raise ConfigError(f"config fields 'parameters/energy' and 'hbar': {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # The beam first: a config with both a bad beam and a bad energy names the beam.
+    j, solution = _optical_side(params)
+    initial, target, synthesis, _, trajectory = _quantum_side(params, hbar)
     gap = synthesis.hamiltonian.gap
     if not math.isfinite(gap * gap):
         raise ConfigError(f"config field 'parameters/energy': the gap {gap!r} overflows when squared")
-
-    times = np.linspace(0.0, synthesis.t_min, samples)
-    trajectory = evolve_states(synthesis.hamiltonian, initial, times, hbar=hbar)
-    quantum = QuantumScenario(
-        synthesis=synthesis,
-        efficiency=efficiency(trajectory),
-        initial_state=initial,
-        final_state=target,
-    )
-    ledger = stokes_rotation_check(stokes_from_coherency(j), solution.phi_opt)
-    optical = OpticalScenario(coherency=j, rotation=solution, ledger=ledger)
     try:
-        report = correspondence_report(quantum, optical)
+        quantum = QuantumScenario(
+            synthesis=synthesis,
+            efficiency=efficiency(trajectory),
+            initial_state=initial,
+            final_state=target,
+        )
+    except ValueError as exc:  # samples too close together for the walk to tell apart
+        named = "'parameters/target' and 'parameters/samples'"
+        raise ConfigError(f"config fields {named}: {exc}") from exc
+    try:
+        report = correspondence_report(quantum, OpticalScenario(coherency=j, rotation=solution))
     except ValueError as exc:
         raise ConfigError(f"config field 'parameters/coherency': {exc}") from exc
 

@@ -224,9 +224,7 @@ def _worked_report():
         initial_state=ZERO,
         final_state=PLUS,
     )
-    solution = optimal_rotation(J_WORKED)
-    ledger = stokes_rotation_check(stokes_from_coherency(J_WORKED), solution.phi_opt)
-    optical = OpticalScenario(coherency=J_WORKED, rotation=solution, ledger=ledger)
+    optical = OpticalScenario(coherency=J_WORKED, rotation=optimal_rotation(J_WORKED))
     return correspondence_report(quantum, optical)
 
 

@@ -1077,6 +1077,15 @@ _REPROS = {
         [],
         "'parameters/coherency'",
     ),
+    # 101 default samples split a 2e-11 rad path into steps below the walk's 1e-12 resolution.
+    "coincident-samples": (
+        "correspondence",
+        CORRESPONDENCE_CONFIG,
+        "parameters/target",
+        json.dumps([[1.0, 0.0], [1e-11, 0.0]]),
+        [],
+        "config fields 'parameters/target' and 'parameters/samples'",
+    ),
 }
 
 

@@ -64,8 +64,7 @@ def make_optical_scenario(j=J_WORKED, phi=None):
             p=solution.p,
             chi=solution.chi,
         )
-    ledger = stokes_rotation_check(stokes_from_coherency(j), solution.phi_opt)
-    return OpticalScenario(coherency=j, rotation=solution, ledger=ledger)
+    return OpticalScenario(coherency=j, rotation=solution)
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +223,11 @@ def test_bisector_identity_random_beams():
         checked += 1
 
 
-def test_bisector_rejects_circular_polarized_part():
-    j = np.array([[1.0, -0.4j], [0.4j, 1.0]], dtype=complex)
-    with pytest.raises(ValueError, match="degenerate"):
+@pytest.mark.parametrize(
+    "j, match", [([[1.0, -0.4j], [0.4j, 1.0]], "degenerate"), (np.eye(2), "no polarized part")]
+)
+def test_bisector_rejects_circular_polarized_part(j, match):
+    with pytest.raises(ValueError, match=match):
         bisector_geometry(j)
 
 
@@ -285,9 +286,7 @@ def test_half_rotation_fails_the_off_diagonal_row():
 def test_mismatched_pairing_is_rejected():
     quantum = make_quantum_scenario()
     other = make_optical_scenario(j=np.array([[2.0, 0.3], [0.3, 1.0]], dtype=complex))
-    tampered = OpticalScenario(
-        coherency=J_WORKED, rotation=other.rotation, ledger=other.ledger
-    )
+    tampered = OpticalScenario(coherency=J_WORKED, rotation=other.rotation)
     with pytest.raises(ValueError, match="pairing"):
         correspondence_report(quantum, tampered)
 

@@ -1,7 +1,9 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 import blochpoincare
+from blochpoincare import bloch, cli
 
 PACKAGE = Path(blochpoincare.__file__).parent
 
@@ -92,3 +94,21 @@ def test_no_module_imports_a_name_it_never_uses():
     assert modules
     unused = {p.name: _unused_imports(p.read_text()) for p in modules}
     assert not {name: names for name, names in unused.items() if names}
+
+
+def test_every_traced_name_resolves_in_its_module():
+    # The tracer skips a name its module lacks, so a rename would zero a
+    # per-layer metric without any failure. It imports only the standard library.
+    tracer_path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", tracer_path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        f"{module}.{name}"
+        for module, names in tracer.TRACED.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"blochpoincare.{module}"), name)
+    ]
+    assert not missing
+    # The tracer and the tests rebind the runner's own binding of fidelity.
+    assert cli.fidelity is bloch.fidelity
