@@ -10,7 +10,10 @@ validation cases time a valid config, which the built-in schema checker
 passes, and an invalid one, which jsonschema words. One case times
 ``import blochpoincare.cli`` in fresh interpreters and records the median
 ``-X importtime`` cumulative time in its ``extra_info`` (written by
-``--benchmark-json``). Run them from the repository root, outside the tier-1
+``--benchmark-json``). The batch cases time the scenario runners (layer 3):
+perfbench's seed-0 ``scenario_batch`` batch of 600 ``optimize-coherence``
+scenarios through ``cli.main`` in-process, on the CPUs the process may use
+and on one CPU. Run them from the repository root, outside the tier-1
 suite:
 
     PYTHONPATH=src python -m pytest benchmarks -q
@@ -18,13 +21,17 @@ suite:
 pytest-benchmark prints min, median, IQR and rounds per case.
 """
 
+import json
+import os
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from blochpoincare import cli
 from blochpoincare.bloch import bloch_vectors, fidelities
 from blochpoincare.cli import (
     TRAJECTORY_HEADER,
@@ -176,3 +183,28 @@ def test_emit_json_pancharatnam_40000_rows(benchmark, tmp_path):
         emit_json({"kind": "interference", "law": "pancharatnam", "rows": rows}, path)
 
     benchmark(emit)
+
+
+def _optimize_batch() -> list:
+    """The entries of perfbench's seed-0 ``scenario_batch`` ``optimize-coherence`` invocation."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    invocations = workloads.generate("scenario_batch", 0)
+    (batch,) = [inv for inv in invocations if inv.kind == "optimize-coherence"]
+    return batch.config
+
+
+@pytest.mark.parametrize("cpus", ["affinity", "one"])
+def test_optimize_coherence_batch_600_scenarios(benchmark, tmp_path, monkeypatch, cpus):
+    entries = _optimize_batch()
+    assert len(entries) == 600
+    (tmp_path / "batch.json").write_text(json.dumps(entries), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    if cpus == "one":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    benchmark.extra_info["processes"] = min(len(os.sched_getaffinity(0)), len(entries))
+    argv = ["optimize-coherence", "--config", "batch.json"]
+    assert benchmark.pedantic(cli.main, args=(argv,), rounds=5, warmup_rounds=1) == cli.EXIT_OK

@@ -10,6 +10,14 @@ Outputs are byte-deterministic for identical configs (sorted keys, fixed
 float formatting, no timestamps). Every successful run re-validates the
 library invariants on its own outputs before writing.
 
+A config may be an array of scenarios, a batch. Its entries may run on
+several CPUs: contiguous slices of them run in forked worker processes, one
+per CPU the process may use, and this process replays their captured stdout
+and stderr in entry order. Every file, each stream and the exit code are
+those of the in-order run; ``taskset -c 0`` gives one CPU. A batch in which
+two entries name one target, or a target that is not a regular file, runs
+in order in one process.
+
 Exit codes: 0 success, 2 config/schema violation, 3 numerical gate failure
 (or any other unexpected error), 4 I/O error.
 """
@@ -23,8 +31,11 @@ import json
 import math
 import numbers
 import os
+import pickle
 import stat
 import sys
+import threading
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence
@@ -664,6 +675,195 @@ def run(kind: str, config: dict, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# ---------------------------------------------------------------------------
+# Batch configs
+# ---------------------------------------------------------------------------
+
+
+def _batch_width(entries: list) -> int:
+    """How many processes may share ``entries``; 1 where a parallel run could differ.
+
+    Two entries whose targets resolve to one file must write in order, so the
+    later one wins, and so must a target that is not a regular file (a FIFO,
+    a device, ``/dev/stdout``). A process with other Python threads is not
+    forked, since a lock one of them holds would stay held in the worker.
+    """
+    if len(entries) < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    targets = set()
+    for entry in entries:
+        output = entry["output"]
+        path = output.get("path") if isinstance(output, dict) else None
+        if not isinstance(path, str) or path == "-":
+            continue  # stdout (no path, or -) is captured per entry; a non-string path is invalid
+        try:
+            mode = os.stat(path).st_mode
+        except OSError:
+            mode = stat.S_IFREG  # nothing there yet, or a target whose write fails as in order
+        except ValueError:  # an embedded NUL
+            return 1
+        target = os.path.realpath(path)
+        if not stat.S_ISREG(mode) or target in targets:
+            return 1
+        targets.add(target)
+    return min(len(os.sched_getaffinity(0)), len(entries))
+
+
+class _Capture(list):
+    """A worker's stdout or stderr: the text written and the warnings shown, in order."""
+
+    write = list.append
+    writelines = list.extend
+
+    def flush(self) -> None:
+        pass
+
+
+def _capture_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A worker's ``warnings.showwarning``: keep the warning in its place on the captured stderr."""
+    sys.stderr.append((message, filename, lineno))
+
+
+def _show_again(message: Warning, filename: str, lineno: int) -> None:
+    """Show a warning that a worker showed, as the in-order run would have shown it.
+
+    It passes through this process's filters and the registry of the module
+    it came from, which drop it when an earlier entry showed it already.
+    """
+    module = next(
+        (m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == filename), None
+    )
+    namespace = vars(module) if module is not None else {"__name__": filename}
+    registry = namespace.setdefault("__warningregistry__", {})
+    warnings.warn_explicit(
+        message, type(message), filename, lineno, namespace["__name__"], registry, namespace
+    )
+
+
+def _worker(kind: str, entries: list, args: argparse.Namespace, result: int, inherited) -> None:
+    """Run ``entries`` in a forked worker; pickle one ``(code, out, err)`` each to ``result``."""
+    status = EXIT_NUMERIC
+    try:
+        for fd in inherited:
+            os.close(fd)
+        warnings.showwarning = _capture_warning
+        records = []
+        for entry in entries:
+            sys.stdout, sys.stderr = out, err = _Capture(), _Capture()
+            records.append((run(kind, entry, args), out, err))
+        with open(result, "wb") as pipe:
+            pickle.dump(records, pipe, pickle.HIGHEST_PROTOCOL)
+        status = EXIT_OK
+    finally:
+        os._exit(status)  # never back into the caller's stack, its buffers or its atexit hooks
+
+
+def _start_worker(
+    kind: str, entries: list, args: argparse.Namespace, pipes: dict
+) -> Optional[int]:
+    """Fork a worker running ``entries``, entering its result pipe in ``pipes``; its pid or None."""
+    try:
+        result, write = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(result)
+        os.close(write)
+        return None
+    if pid == 0:
+        _worker(kind, entries, args, write, [result, *pipes.values()])
+    os.close(write)
+    pipes[pid] = result
+    return pid
+
+
+def _replay(code: int, out: list, err: list) -> int:
+    """Write one worker record to this process's streams; failing to is the entry's exit 4."""
+    try:
+        sys.stdout.writelines(out)
+        for piece in err:
+            if isinstance(piece, str):
+                sys.stderr.write(piece)
+            else:
+                _show_again(*piece)
+    except OSError as exc:  # worded as run() words a failed write to stdout
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return code or EXIT_IO
+    return code
+
+
+def _replay_worker(data: bytes, returned: int, lo: int, hi: int) -> List[int]:
+    """Replay the records of the worker that ran entries ``lo`` to ``hi - 1``; their exit codes.
+
+    ``returned`` is the worker's exit code (minus the signal that killed it).
+    A worker that failed or sent a truncated record loses its entries: each
+    exits 3, under one message naming them.
+    """
+    records = None
+    if returned == 0:
+        try:
+            records = pickle.loads(data)
+        except (pickle.UnpicklingError, EOFError):
+            pass
+    if records is None or len(records) != hi - lo:
+        how = (
+            f"was killed by signal {-returned}" if returned < 0
+            else f"exited with status {returned}" if returned
+            else "returned a truncated record"
+        )
+        named = f"entry {lo}" if hi - lo == 1 else f"entries {lo} to {hi - 1}"
+        print(f"unexpected error: the worker process running batch {named} {how}", file=sys.stderr)
+        return [EXIT_NUMERIC] * (hi - lo)
+    return [_replay(*record) for record in records]
+
+
+def _run_batch(kind: str, entries: list, args: argparse.Namespace) -> int:
+    """Run ``entries`` as the in-order loop would; the first non-zero exit code, else 0.
+
+    The entries are cut into one contiguous slice per CPU the process may use.
+    This process runs the first slice; each other slice runs in a forked
+    worker that captures every entry's stdout, stderr and shown warnings.
+    This process then replays the records in entry order, so every file,
+    each stream and the exit code are those of the in-order run. A slice
+    whose worker cannot be started runs here, in its turn.
+    """
+    width = _batch_width(entries)
+    bounds = [len(entries) * i // width for i in range(width + 1)]
+    slices = [(None, 0, bounds[1])]  # (worker pid, lo, hi); pid None for a slice run here
+    pipes = {}  # pid -> read end of its result pipe (None once read), for each worker not reaped
+    sys.stdout.flush()  # nothing buffered is copied into a worker
+    sys.stderr.flush()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on a fork while any thread runs, and counts the
+            # BLAS pool's idle native threads, which its fork handlers stop.
+            warnings.filterwarnings(
+                "ignore", "This process .* is multi-threaded", DeprecationWarning
+            )
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                slices.append((_start_worker(kind, entries[lo:hi], args, pipes), lo, hi))
+        codes = []
+        for pid, lo, hi in slices:
+            if pid is None:
+                codes += [run(kind, entry, args) for entry in entries[lo:hi]]
+                continue
+            with open(pipes[pid], "rb") as pipe:
+                pipes[pid] = None
+                data = pipe.read()
+            returned = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pipes[pid]
+            codes += _replay_worker(data, returned, lo, hi)
+    finally:
+        for pid, result in pipes.items():  # left only by an exception
+            if result is not None:
+                os.close(result)
+            os.waitpid(pid, 0)
+    return next((code for code in codes if code), EXIT_OK)
+
 def _finite_number(literal: str, parse=float):
     """``parse(literal)``, refusing NaN, Infinity and literals beyond the double range."""
     if not math.isfinite(float(literal)):
@@ -757,19 +957,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     if isinstance(config, dict):
         return run(args.kind, config, args)
 
-    # Batch of independent scenarios; each carries its own output, runs in a
-    # deterministic order, and shares no state with the others.
+    # Batch of independent scenarios; each carries its own output and shares
+    # no state with the others, so slices of them may run in worker processes.
     if args.output:
         print("error: batch configs must carry per-scenario output paths", file=sys.stderr)
         return EXIT_SCHEMA
-    status = EXIT_OK
-    for index, entry in enumerate(config):
-        if not isinstance(entry, dict) or "output" not in entry:
-            print(f"error: batch entry {index} must be an object with an output", file=sys.stderr)
-            return EXIT_SCHEMA
-        code = run(args.kind, entry, args)
-        if code != EXIT_OK and status == EXIT_OK:
-            status = code
+    bad = next(
+        (i for i, e in enumerate(config) if not isinstance(e, dict) or "output" not in e), None
+    )
+    status = _run_batch(args.kind, config[:bad], args)
+    if bad is not None:
+        print(f"error: batch entry {bad} must be an object with an output", file=sys.stderr)
+        return EXIT_SCHEMA
     return status
 
 
