@@ -18,13 +18,17 @@ those of the in-order run; ``taskset -c 0`` gives one CPU. A batch in which
 two entries name one target, or a target that is not a regular file, runs
 in order in one process.
 
-Exit codes: 0 success, 2 config/schema violation, 3 numerical gate failure
-(or any other unexpected error), 4 I/O error.
+Exit codes, each with the prefix of its one stderr line: 0 success; 2 a
+config or schema violation, ``error:``; 3 a numerical gate failure,
+``numerical gate failure:``, or any other exception, ``unexpected error:``
+and its type; 4 an I/O error, ``i/o error:``. A config error names the
+fields at fault as ``config field 'a': ...`` or ``config fields 'a' and 'b': ...``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import importlib.resources
 import json
@@ -92,11 +96,22 @@ _DEFAULT_SAMPLES = 101
 
 
 class ConfigError(Exception):
-    """Configuration rejected before any computation."""
+    """Configuration rejected before any computation, naming the config ``fields`` at fault."""
+
+    def __init__(self, message: str, *fields: str):
+        if fields:
+            named = " and ".join(f"'{field}'" for field in fields)
+            message = f"config field{'s' * (len(fields) > 1)} {named}: {message}"
+        super().__init__(message)
 
 
-class NumericalGateError(Exception):
-    """A validated computation failed one of its quantitative gates."""
+@contextlib.contextmanager
+def _naming(*fields: str, error=ValueError):
+    """Re-raise a construction's ``error`` as a ConfigError naming the config ``fields``."""
+    try:
+        yield
+    except error as exc:
+        raise ConfigError(str(exc), *fields) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +212,7 @@ def _validate_config(kind: str, config: dict) -> None:
     if errors:
         first = errors[0]
         where = "/".join(str(p) for p in first.absolute_path) or "<root>"
-        raise ConfigError(f"config field '{where}': {first.message}")
+        raise ConfigError(first.message, where)
 
 
 def _as_complex(value) -> complex:
@@ -401,7 +416,7 @@ def _gate_endpoint_fidelity(config: dict, value: float) -> None:
     tolerances = config.get("tolerances", {})
     tol = float(tolerances.get("endpoint_fidelity", tolerances.get("default", 1e-9)))
     message = f"endpoint fidelity {value!r} below gate 1 - {tol!r}"
-    gate(-value, -(1.0 - tol), message, NumericalGateError)
+    gate(-value, -(1.0 - tol), message)
 
 
 def _quantum_side(params: dict, hbar: float):
@@ -411,15 +426,13 @@ def _quantum_side(params: dict, hbar: float):
     energy = float(params["energy"])
     samples = int(params.get("samples", _DEFAULT_SAMPLES))
     route = Route(params.get("route", Route.TIME_MINIMIZATION.value))
-    try:
+    # An unrepresentable minimal time is the energy's and hbar's; the endpoints' otherwise.
+    endpoints = ("parameters/initial", "parameters/target")
+    with _naming(*endpoints), _naming("parameters/energy", "hbar", error=UnrepresentableTimeError):
         if route is Route.TIME_MINIMIZATION:
             synthesis = synthesize_min_time(initial, target, energy, hbar=hbar)
         else:
             synthesis = synthesize_max_uncertainty(initial, target, energy, hbar=hbar)
-    except UnrepresentableTimeError as exc:
-        raise ConfigError(f"config fields 'parameters/energy' and 'hbar': {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     times = np.linspace(0.0, synthesis.t_min, samples)
     states = evolve_states(synthesis.hamiltonian, initial, times, hbar=hbar)
     return initial, target, synthesis, times, states
@@ -428,19 +441,17 @@ def _quantum_side(params: dict, hbar: float):
 def _optical_side(params: dict):
     """``(j, solution)``: the config's coherency matrix and its optimal frame."""
     j = _as_matrix(params["coherency"])
-    try:
+    with _naming("parameters/coherency"):
         return j, optimal_rotation(j)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _run_evolve(config: dict, fmt: str, out_path: str, hbar: float) -> None:
     _, target, result, times, states = _quantum_side(config["parameters"], hbar)
     drift = np.max(np.abs(np.vecdot(states, states).real - 1.0))
-    gate(drift, 1e-10, "trajectory sample lost normalization", NumericalGateError)
+    gate(drift, 1e-10, "trajectory sample lost normalization")
     _gate_endpoint_fidelity(config, fidelity(target, states[-1]))
     if not np.all(times[1:] > times[:-1]):
-        raise NumericalGateError("trajectory times are not strictly increasing")
+        raise RuntimeError("trajectory times are not strictly increasing")
 
     parts = states.view(float)  # re c0, im c0, re c1, im c1 per row
     bloch, fid = bloch_vectors(states), fidelities(target, states)
@@ -469,7 +480,7 @@ def _run_optimize(config: dict, fmt: str, out_path: str) -> None:
     # optimal_rotation gates the equalized diagonal and the coherence at P;
     # this absolute bound on the polarized intensity is tighter than the ledger's.
     conserved = abs(ledger.i_pol_after - ledger.i_pol_before)
-    gate(conserved, 1e-9, "polarized intensity not conserved", NumericalGateError)
+    gate(conserved, 1e-9, "polarized intensity not conserved")
 
     emit_json(
         {
@@ -485,11 +496,9 @@ def _run_optimize(config: dict, fmt: str, out_path: str) -> None:
 def _run_mueller(config: dict, fmt: str, out_path: str, seed: int) -> None:
     params = config["parameters"]
     jones = _as_matrix(params["jones"])
-    try:
+    with _naming("parameters/jones"):
         lifted = mueller_from_jones(jones)
         classification = classify_mueller(lifted, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(f"config field 'parameters/jones': {exc}") from exc
 
     payload = {
         "kind": "mueller",
@@ -501,12 +510,12 @@ def _run_mueller(config: dict, fmt: str, out_path: str, seed: int) -> None:
     if is_unitary(jones):
         rotation = wigner_rotation(jones)
         message = "trace-form rotation lift disagrees with the Kronecker lift"
-        gate(np.max(np.abs(rotation - lifted)), 1e-10, message, NumericalGateError)
+        gate(np.max(np.abs(rotation - lifted)), 1e-10, message)
         payload["wigner_rotation"] = _matrix_payload(rotation)
     if "rotator_angle" in params:
         angle = float(params["rotator_angle"])
         if not math.isfinite(2.0 * angle):
-            raise ConfigError(f"config field 'parameters/rotator_angle': 2 * {angle!r} overflows")
+            raise ConfigError(f"2 * {angle!r} overflows", "parameters/rotator_angle")
         payload["rotator_angle"] = angle
         payload["mueller_rotator"] = _matrix_payload(mueller_rotator(angle))
     emit_json(payload, out_path)
@@ -520,9 +529,9 @@ def _gate_amplitudes(fields: dict, x: float, y: float) -> None:
     """
     peak, product = x + y, x * y
     if not (math.isfinite(2.0 * peak * peak) and math.isfinite(2.0 * product * product)):
-        named = " and ".join(f"'parameters/{field}'" for field in fields)
         given = " and ".join(f"{field} = {value!r}" for field, value in fields.items())
-        raise ConfigError(f"config fields {named}: {given} overflow the interference law")
+        named = (f"parameters/{field}" for field in fields)
+        raise ConfigError(f"{given} overflow the interference law", *named)
 
 
 def _run_interference(config: dict, fmt: str, out_path: str) -> None:
@@ -532,18 +541,13 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
         j = _as_matrix(params["coherency"])
         angles = _grid_values(params["analyzer_angles"])
         delays = _grid_values(params["phase_delays"])
-        try:
+        with _naming("parameters/coherency"):
             intensity = classical_intensity(j, angles[:, None], delays)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        try:
+        with _naming("parameters/analyzer_angles"):
             visibility = fringe_visibility(j, angles)
-        except ValueError as exc:
-            raise ConfigError(f"config field 'parameters/analyzer_angles': {exc}") from exc
         if not np.all(np.isfinite(intensity)):
-            raise ConfigError("config field 'parameters/coherency': the intensities overflow")
-        message = "negative intensity in classical sweep"
-        gate(np.max(-intensity), 1e-12, message, NumericalGateError)
+            raise ConfigError("the intensities overflow", "parameters/coherency")
+        gate(np.max(-intensity), 1e-12, "negative intensity in classical sweep")
         columns = (angles[:, None], delays, intensity, visibility[:, None])
         header = "theta,epsilon,intensity,visibility"
     elif law == "pancharatnam":
@@ -551,10 +555,8 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
         _gate_amplitudes({"intensity_a": i_a, "intensity_b": i_b}, math.sqrt(i_a), math.sqrt(i_b))
         angles = _grid_values(params["sphere_angles"])
         advances = _grid_values(params["phase_advances"])
-        try:
+        with _naming("parameters/sphere_angles"):
             intensity = pancharatnam_intensity(i_a, i_b, angles[:, None], advances)
-        except ValueError as exc:
-            raise ConfigError(f"config field 'parameters/sphere_angles': {exc}") from exc
         columns = (angles[:, None], advances, intensity)
         header = "theta_poincare,delta,intensity"
     else:
@@ -565,18 +567,14 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
         _gate_amplitudes({"amp_a": amp_a, "amp_b_modulus": modulus}, abs(amp_a), modulus)
         phases = _grid_values(params["relative_phases"])
         amp_b = modulus * np.exp(1j * phases)
-        try:
+        with _naming("parameters/state_a", "parameters/state_b"):
             probability = quantum_probability(amp_a, amp_b, state_a, state_b)
-        except ValueError as exc:
-            raise ConfigError(
-                f"config fields 'parameters/state_a' and 'parameters/state_b': {exc}"
-            ) from exc
         # np.linalg.norm of each row, bit for bit, squared as its scalar result squares.
         v = amp_a * state_a + amp_b[:, None] * state_b
         direct = _squares(np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag)))
         # The largest excess of |p - direct| over its row's bound; a - b <= 0 iff a <= b.
         excess = np.max(np.abs(probability - direct) - 1e-12 * np.maximum(1.0, direct))
-        gate(excess, 0.0, "interference law deviates from direct norm", NumericalGateError)
+        gate(excess, 0.0, "interference law deviates from direct norm")
         columns = (phases, probability, direct)
         header = "relative_phase,probability,direct_norm"
 
@@ -595,21 +593,17 @@ def _run_correspondence(config: dict, fmt: str, out_path: str, hbar: float) -> N
     initial, target, synthesis, _, trajectory = _quantum_side(params, hbar)
     gap = synthesis.hamiltonian.gap
     if not math.isfinite(gap * gap):
-        raise ConfigError(f"config field 'parameters/energy': the gap {gap!r} overflows when squared")
-    try:
+        raise ConfigError(f"the gap {gap!r} overflows when squared", "parameters/energy")
+    # Samples too close together for the walk to tell apart name the target and their count.
+    with _naming("parameters/target", "parameters/samples"):
         quantum = QuantumScenario(
             synthesis=synthesis,
             efficiency=efficiency(trajectory),
             initial_state=initial,
             final_state=target,
         )
-    except ValueError as exc:  # samples too close together for the walk to tell apart
-        named = "'parameters/target' and 'parameters/samples'"
-        raise ConfigError(f"config fields {named}: {exc}") from exc
-    try:
+    with _naming("parameters/coherency"):
         report = correspondence_report(quantum, OpticalScenario(coherency=j, rotation=solution))
-    except ValueError as exc:
-        raise ConfigError(f"config field 'parameters/coherency': {exc}") from exc
 
     sys.stdout.write(report.as_table() + "\n")
     payload = {
@@ -622,17 +616,13 @@ def _run_correspondence(config: dict, fmt: str, out_path: str, hbar: float) -> N
     emit_json(payload, out_path)
     _gate_endpoint_fidelity(config, fidelity(target, trajectory[-1]))
     if not report.all_passed:
-        raise NumericalGateError("correspondence report has failing rows")
+        raise RuntimeError("correspondence report has failing rows")
 
 
 def run(kind: str, config: dict, args: argparse.Namespace) -> int:
     """Validate and execute one scenario; returns a process exit code."""
     try:
-        _validate_config(kind, config)
-        if "kind" in config and config["kind"] != kind:
-            raise ConfigError(
-                f"config kind {config['kind']!r} does not match subcommand {kind!r}"
-            )
+        _validate_config(kind, config)  # a config's kind is the schema's const
         params = config["parameters"]
         if getattr(args, "degrees", False):
             params = _convert_degrees(kind, params)
@@ -660,19 +650,34 @@ def run(kind: str, config: dict, args: argparse.Namespace) -> int:
             _run_interference(config, fmt, out_path)
         else:
             _run_correspondence(config, fmt, out_path, hbar)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except (NumericalGateError, RuntimeError) as exc:
-        print(f"numerical gate failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except IOError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except Exception as exc:  # the last resort: no traceback and no exit 1
-        print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except Exception as exc:
+        return _fail(exc)
     return EXIT_OK
+
+
+# Exit code and stderr prefix by exception class, the first class that matches.
+# Every gate raises RuntimeError. A ChildProcessError is a lost batch worker;
+# any other OSError is a failed read or write.
+_EXIT_CLASSES = (
+    (ConfigError, EXIT_SCHEMA, "error:"),
+    (RuntimeError, EXIT_NUMERIC, "numerical gate failure:"),
+    (ChildProcessError, EXIT_NUMERIC, "unexpected error:"),
+    (OSError, EXIT_IO, "i/o error:"),
+)
+
+
+def _fail(exc: Exception) -> int:
+    """Print ``exc`` to stderr under the prefix of its exit class; return that exit code.
+
+    Any other exception exits 3 under its type name: no traceback and no exit 1.
+    """
+    for error, code, prefix in _EXIT_CLASSES:
+        if isinstance(exc, error):
+            break
+    else:
+        code, prefix = EXIT_NUMERIC, f"unexpected error: {type(exc).__name__}:"
+    print(prefix, exc, file=sys.stderr)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -791,8 +796,8 @@ def _replay(code: int, out: list, err: list) -> int:
             else:
                 _show_again(*piece)
     except OSError as exc:  # worded as run() words a failed write to stdout
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return code or EXIT_IO
+        failed = _fail(exc)
+        return code or failed
     return code
 
 
@@ -816,8 +821,8 @@ def _replay_worker(data: bytes, returned: int, lo: int, hi: int) -> List[int]:
             else "returned a truncated record"
         )
         named = f"entry {lo}" if hi - lo == 1 else f"entries {lo} to {hi - 1}"
-        print(f"unexpected error: the worker process running batch {named} {how}", file=sys.stderr)
-        return [EXIT_NUMERIC] * (hi - lo)
+        lost = ChildProcessError(f"the worker process running batch {named} {how}")
+        return [_fail(lost)] * (hi - lo)
     return [_replay(*record) for record in records]
 
 
@@ -864,6 +869,7 @@ def _run_batch(kind: str, entries: list, args: argparse.Namespace) -> int:
             os.waitpid(pid, 0)
     return next((code for code in codes if code), EXIT_OK)
 
+
 def _finite_number(literal: str, parse=float):
     """``parse(literal)``, refusing NaN, Infinity and literals beyond the double range."""
     if not math.isfinite(float(literal)):
@@ -889,18 +895,13 @@ def _probe_seed(text: str) -> int:
 
 
 def _load_config(path: str):
+    hooks = dict(parse_constant=_finite_number, parse_float=_finite_number, parse_int=_finite_int)
     try:
-        if path == "-":
-            raw = sys.stdin.read()
-        else:
-            raw = Path(path).read_text(encoding="utf-8")
+        raw = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        config = json.loads(raw, **hooks)
     except OSError as exc:
         raise IOError(f"cannot read config {path!r}: {exc}") from exc
-    try:
-        config = json.loads(
-            raw, parse_constant=_finite_number, parse_float=_finite_number, parse_int=_finite_int
-        )
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep to parse
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, (dict, list)):
         raise ConfigError("config must be a JSON object or an array of them")
@@ -924,9 +925,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--format", choices=["json", "csv"], help="output format")
         if kind in _HBAR_KINDS:
             sub.add_argument("--hbar", type=positive_float, help="value of hbar (default 1)")
-            sub.add_argument(
-                "--tolerance", type=positive_float, help="default tolerance for numerical gates"
-            )
+            tolerance = "endpoint-fidelity gate tolerance if tolerances.endpoint_fidelity is unset"
+            sub.add_argument("--tolerance", type=positive_float, help=tolerance)
         if kind in _ANGLE_FIELDS:
             sub.add_argument(
                 "--degrees",
@@ -947,29 +947,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except IOError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(config, dict):
+            return run(args.kind, config, args)
 
-    if isinstance(config, dict):
-        return run(args.kind, config, args)
-
-    # Batch of independent scenarios; each carries its own output and shares
-    # no state with the others, so slices of them may run in worker processes.
-    if args.output:
-        print("error: batch configs must carry per-scenario output paths", file=sys.stderr)
-        return EXIT_SCHEMA
-    bad = next(
-        (i for i, e in enumerate(config) if not isinstance(e, dict) or "output" not in e), None
-    )
-    status = _run_batch(args.kind, config[:bad], args)
-    if bad is not None:
-        print(f"error: batch entry {bad} must be an object with an output", file=sys.stderr)
-        return EXIT_SCHEMA
-    return status
+        # Batch of independent scenarios; each carries its own output and shares
+        # no state with the others, so slices of them may run in worker processes.
+        if args.output:
+            raise ConfigError("batch configs must carry per-scenario output paths")
+        bad = next(
+            (i for i, e in enumerate(config) if not isinstance(e, dict) or "output" not in e), None
+        )
+        status = _run_batch(args.kind, config[:bad], args)
+        if bad is not None:
+            raise ConfigError(f"batch entry {bad} must be an object with an output")
+        return status
+    except Exception as exc:
+        return _fail(exc)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import json
 import os
 import pickle
 import signal
+import sys
 import tempfile
 import threading
 import warnings
@@ -115,7 +116,10 @@ def test_three_slices_replay_every_exit_class_in_entry_order(tmp_path):
     code, out, err, files = got
     assert code == cli.EXIT_SCHEMA
     bad_beam, tight_gate, missing_directory = err.splitlines()
-    assert bad_beam == "error: no polarized part: the optimum frame is undefined at P = 0"
+    assert bad_beam == (
+        "error: config field 'parameters/coherency': "
+        "no polarized part: the optimum frame is undefined at P = 0"
+    )
     assert tight_gate.startswith("numerical gate failure: endpoint fidelity")
     assert missing_directory.startswith("i/o error: cannot write output file 'missing/out3.json'")
     assert out.count("all rows pass") == 4 and out.endswith('"version": "0.1.0"\n}\n')
@@ -269,6 +273,18 @@ def test_a_failed_replay_to_stdout_exits_4_as_in_order(tmp_path):
     assert (code, err) == (cli.EXIT_IO, "i/o error: [Errno 32] Broken pipe\n")
     assert sorted(files) == ["batch.json", "out0.json", "out2.json"]
     _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "code, kept",
+    [(cli.EXIT_OK, cli.EXIT_IO)] + [(code, code) for code in (cli.EXIT_SCHEMA, cli.EXIT_NUMERIC)],
+)
+def test_a_failed_replay_prints_an_io_error_and_keeps_a_failed_entry_code(
+    capsys, monkeypatch, code, kept
+):
+    monkeypatch.setattr(sys, "stdout", _BrokenStdout())
+    assert cli._replay(code, ["a table\n"], ["numerical gate failure: a gate\n"]) == kept
+    assert capsys.readouterr().err == "i/o error: [Errno 32] Broken pipe\n"
 
 
 def test_warnings_are_shown_as_in_order_across_slices(tmp_path):

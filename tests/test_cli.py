@@ -946,6 +946,97 @@ def test_an_unexpected_exception_exits_3_naming_it_and_the_batch_goes_on(
     assert (tmp_path / "two.json").exists()
 
 
+def test_config_errors_word_the_fields_they_name():
+    assert str(cli.ConfigError("bad")) == "bad"
+    assert str(cli.ConfigError("bad", "hbar")) == "config field 'hbar': bad"
+    two = cli.ConfigError("bad", "parameters/energy", "hbar")
+    assert str(two) == "config fields 'parameters/energy' and 'hbar': bad"
+
+
+def _raise_key_error(config, fmt, out_path):
+    raise KeyError("phi")
+
+
+_UNPOLARIZED = {"parameters": {"coherency": [[1.0, 0.0], [0.0, 1.0]]}}
+_UNNORMALIZED = {"parameters": dict(EVOLVE_CONFIG["parameters"], target=[[1.0, 0.0], [1.0, 0.0]])}
+_NON_HERMITIAN = {
+    "parameters": {
+        "law": "classical",
+        "coherency": [[1.0, 2.0], [0.0, 1.0]],
+        "analyzer_angles": {"start": 0.0, "stop": 1.0, "count": 2},
+        "phase_delays": {"start": 0.0, "stop": 1.0, "count": 2},
+    }
+}
+# (kind, config file text or None, output path, (name, value) to patch into cli, code, stderr)
+_EXIT_CLASS_CASES = {
+    "not-json": (
+        "optimize-coherence", b"{not json", "out.json", None, cli.EXIT_SCHEMA,
+        "error: config is not valid JSON: "
+        "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    ),
+    "not-utf-8": (
+        "optimize-coherence", b'{"parameters": "\xff"}', "out.json", None, cli.EXIT_SCHEMA,
+        "error: config is not valid JSON: "
+        "'utf-8' codec can't decode byte 0xff in position 16: invalid start byte",
+    ),
+    "nested-too-deep": (
+        "optimize-coherence", b"[" * 100_000 + b"]" * 100_000, "out.json", None, cli.EXIT_SCHEMA,
+        "error: config is not valid JSON: "
+        "maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+    ),
+    "unpolarized-beam": (
+        "optimize-coherence", _UNPOLARIZED, "out.json", None, cli.EXIT_SCHEMA,
+        "error: config field 'parameters/coherency': "
+        "no polarized part: the optimum frame is undefined at P = 0",
+    ),
+    "unnormalized-endpoint": (
+        "evolve", _UNNORMALIZED, "out.json", None, cli.EXIT_SCHEMA,
+        "error: config fields 'parameters/initial' and 'parameters/target': "
+        "endpoint states must be normalized",
+    ),
+    "non-hermitian-sweep-beam": (
+        "interference", _NON_HERMITIAN, "out.json", None, cli.EXIT_SCHEMA,
+        "error: config field 'parameters/coherency': "
+        "coherency matrix must be Hermitian (residual 2.0, bound 1e-09)",
+    ),
+    "endpoint-gate": (
+        "evolve", EVOLVE_CONFIG, "out.json", ("fidelity", lambda a, b: 0.5), cli.EXIT_NUMERIC,
+        "numerical gate failure: "
+        "endpoint fidelity 0.5 below gate 1 - 1e-09 (residual -0.5, bound -0.999999999)",
+    ),
+    "unexpected": (
+        "optimize-coherence", OPTIMIZE_CONFIG, "out.json", ("_run_optimize", _raise_key_error),
+        cli.EXIT_NUMERIC, "unexpected error: KeyError: 'phi'",
+    ),
+    "unreadable-config": (
+        "optimize-coherence", None, "out.json", None, cli.EXIT_IO,
+        "i/o error: cannot read config 'config.json': "
+        "[Errno 2] No such file or directory: 'config.json'",
+    ),
+    "unwritable-output": (
+        "optimize-coherence", OPTIMIZE_CONFIG, "missing/out.json", None, cli.EXIT_IO,
+        "i/o error: cannot write output file 'missing/out.json': No such file or directory",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, config, out, patch, code, err", _EXIT_CLASS_CASES.values(), ids=_EXIT_CLASS_CASES
+)
+def test_each_exit_class_prints_its_prefix_and_message(
+    tmp_path, capsys, monkeypatch, kind, config, out, patch, code, err
+):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        text = config if isinstance(config, bytes) else json.dumps(config).encode()
+        (tmp_path / "config.json").write_bytes(text)
+    if patch is not None:
+        monkeypatch.setattr(cli, *patch)
+    assert cli.main([kind, "--config", "config.json", "--output", out]) == code
+    assert capsys.readouterr() == ("", err + "\n")
+    assert not (tmp_path / "out.json").exists()
+
+
 _JSON_ONLY = {
     "optimize-coherence": OPTIMIZE_CONFIG,
     "mueller": {"parameters": {"jones": JONES}},
