@@ -11,6 +11,8 @@ import numpy as np
 
 from .numerics import _squares
 
+_UNIT_NORM_TOL = 1e-12  # the bound on |<s|s> - 1| of a normalized state
+
 
 def as_state(vec) -> np.ndarray:
     state = np.asarray(vec, dtype=complex).reshape(-1)
@@ -19,9 +21,15 @@ def as_state(vec) -> np.ndarray:
     return state
 
 
-def is_normalized(state: np.ndarray, tol: float = 1e-12) -> bool:
-    s = as_state(state)
-    return bool(abs(float(np.vdot(s, s).real) - 1.0) <= tol)
+def _unit_norms(states) -> np.ndarray:
+    """Whether each row of a stack is normalized within ``_UNIT_NORM_TOL``; NaN or inf is not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(np.vecdot(states, states).real - 1.0) <= _UNIT_NORM_TOL
+
+
+def is_normalized(state: np.ndarray) -> bool:
+    """True when |<s|s> - 1| <= ``_UNIT_NORM_TOL``: one row of ``_unit_norms``."""
+    return bool(_unit_norms(as_state(state)))
 
 
 def normalize(state) -> np.ndarray:
@@ -37,15 +45,25 @@ def overlap(a, b) -> complex:
     return complex(np.vdot(as_state(a), as_state(b)))
 
 
+def _moduli(inner) -> np.ndarray:
+    """|<a|b>| of overlaps by hypot, not np.abs: it rounds as the scalar abs of one overlap does."""
+    return np.hypot(np.real(inner), np.imag(inner))
+
+
+def _sphere_angles(moduli) -> np.ndarray:
+    """Great-circle angles 2 arccos|<a|b>| of overlap moduli, clamped at 1."""
+    return 2.0 * np.arccos(np.minimum(1.0, moduli))
+
+
 def fidelities(a, states) -> np.ndarray:
     """|<a|s>|^2 for each row s of ``states``, shape (N, 2) -> (N,)."""
     inner = np.vecdot(as_state(a), np.asarray(states, dtype=complex).reshape(-1, 2))
-    return _squares(np.hypot(inner.real, inner.imag))
+    return _squares(_moduli(inner))
 
 
 def fidelity(a, b) -> float:
-    """|<a|b>|^2 for normalized states; ``fidelities`` is the batched form."""
-    return abs(overlap(a, b)) ** 2
+    """|<a|b>|^2 for normalized states: the ``fidelities`` kernel on one ``overlap``."""
+    return float(_squares(_moduli(overlap(a, b))))
 
 
 def orthogonal_state(state) -> np.ndarray:
@@ -86,5 +104,4 @@ def fubini_study_angle(a, b) -> float:
     sa, sb = as_state(a), as_state(b)
     if not (is_normalized(sa) and is_normalized(sb)):
         raise ValueError("both states must be normalized")
-    x = min(1.0, abs(np.vdot(sa, sb)))
-    return float(2.0 * np.arccos(x))
+    return float(_sphere_angles(_moduli(np.vdot(sa, sb))))

@@ -31,6 +31,18 @@ from .speed_limit import EfficiencyReport, SynthesisResult, evolve_state
 _QUARTER = np.pi / 4.0
 _HALF_PI = np.pi / 2.0
 
+# The correspondence rows in report order: label, quantum check, optical check, quantum tolerance.
+_QUANTUM_TOL, _EFFICIENCY_TOL, _OPTICAL_TOL = 1e-10, 1e-6, 1e-9
+_ROWS = (
+    ("constraint conservation", "(E+ - E-)^2 = (h11 - h22)^2 + 4|h12|^2",
+     "I_pol^2 invariant under frame rotation", _QUANTUM_TOL),
+    ("equal diagonal", "h11 = h22", "Jx'x' = Jy'y'", _QUANTUM_TOL),
+    ("maximal off-diagonal", "|h12| = E0/2", "|Jx'y'| = I_pol/2", _QUANTUM_TOL),
+    ("equal-split overlaps", "|<E+-|A>|^2 = |<E+-|A_perp>|^2 = 1/2",
+     "squared cosines with principal axes = 1/2", _QUANTUM_TOL),
+    ("unit efficiency", "eta_qm = 1", "|j_xy|/P = 1 in the optimal frame", _EFFICIENCY_TOL),
+)
+
 
 @dataclass(frozen=True)
 class RotationSolution:
@@ -254,7 +266,7 @@ class CorrespondenceReport:
         return "\n".join(lines)
 
 
-def _check_pairing(quantum: QuantumScenario, optical: OpticalScenario) -> tuple[np.ndarray, float]:
+def _check_pairing(quantum: QuantumScenario, optical: OpticalScenario) -> tuple:
     a = as_state(quantum.initial_state)
     b = as_state(quantum.final_state)
     pairing = "mismatched scenario pairing: "
@@ -268,7 +280,7 @@ def _check_pairing(quantum: QuantumScenario, optical: OpticalScenario) -> tuple[
     report = degree_of_polarization(j)  # validates j
     rotation = "rotation solution is for a different beam"
     gate(abs(optical.rotation.p - report.p), 1e-8, pairing + rotation, ValueError)
-    return j, report.p * report.total_intensity
+    return a, j, report.p * report.total_intensity
 
 
 def correspondence_report(
@@ -283,19 +295,15 @@ def correspondence_report(
     frame. All compared quantities are dimensionless residuals; no unit
     bridge between energy and intensity is attempted.
     """
-    j, i_pol = _check_pairing(quantum, optical)
+    a, j, i_pol = _check_pairing(quantum, optical)
     h = quantum.synthesis.hamiltonian
-    gap = h.gap
-    m = h.matrix
+    gap, m = h.gap, h.matrix
     rotated = rotate_coherency(j, optical.rotation.phi_opt)
     ledger = stokes_rotation_check(stokes_from_coherency(j), optical.rotation.phi_opt)
 
-    # Constraint conservation: gap identity on the quantum side, polarized
-    # intensity under rotation on the optical side.
-    ec_residual = abs(
-        gap**2 - ((m[0, 0] - m[1, 1]).real ** 2 + 4.0 * abs(m[0, 1]) ** 2)
-    )
-    coco_residual = abs(ledger.i_pol_after**2 - ledger.i_pol_before**2)
+    # Constraint conservation: the gap identity, and I_pol^2 under the frame rotation.
+    ec_q = abs(gap**2 - ((m[0, 0] - m[1, 1]).real ** 2 + 4.0 * abs(m[0, 1]) ** 2))
+    ec_o = abs(ledger.i_pol_after**2 - ledger.i_pol_before**2)
 
     diag_q = abs((m[0, 0] - m[1, 1]).real)
     diag_o = abs((rotated[0, 0] - rotated[1, 1]).real)
@@ -303,63 +311,16 @@ def correspondence_report(
     off_q = abs(abs(m[0, 1]) - gap / 2.0)
     off_o = abs(abs(rotated[0, 1]) - i_pol / 2.0)
 
-    a = as_state(quantum.initial_state)
     a_perp = orthogonal_state(a)
-    lo, hi = h.eigenstates
-    overlaps = [
-        fidelity(vec, state) for vec in (lo, hi) for state in (a, a_perp)
-    ]
-    split_q = max(abs(x - 0.5) for x in overlaps)
+    split_q = max(abs(fidelity(v, s) - 0.5) for v in h.eigenstates for s in (a, a_perp))
     split_o = max(abs(c - 0.5) for c in bisector_geometry(j).cosines_sq)
 
     eta_q = abs(1.0 - quantum.efficiency.eta_qm)
     eta_o = abs(1.0 - optical.rotation.j_after / optical.rotation.p)
 
+    pairs = ((ec_q, ec_o), (diag_q, diag_o), (off_q, off_o), (split_q, split_o), (eta_q, eta_o))
     rows = (
-        CorrespondenceRow(
-            label="constraint conservation",
-            quantum_check="(E+ - E-)^2 = (h11 - h22)^2 + 4|h12|^2",
-            optical_check="I_pol^2 invariant under frame rotation",
-            quantum_residual=float(ec_residual),
-            optical_residual=float(coco_residual),
-            quantum_tolerance=1e-10,
-            optical_tolerance=1e-9,
-        ),
-        CorrespondenceRow(
-            label="equal diagonal",
-            quantum_check="h11 = h22",
-            optical_check="Jx'x' = Jy'y'",
-            quantum_residual=float(diag_q),
-            optical_residual=float(diag_o),
-            quantum_tolerance=1e-10,
-            optical_tolerance=1e-9,
-        ),
-        CorrespondenceRow(
-            label="maximal off-diagonal",
-            quantum_check="|h12| = E0/2",
-            optical_check="|Jx'y'| = I_pol/2",
-            quantum_residual=float(off_q),
-            optical_residual=float(off_o),
-            quantum_tolerance=1e-10,
-            optical_tolerance=1e-9,
-        ),
-        CorrespondenceRow(
-            label="equal-split overlaps",
-            quantum_check="|<E+-|A>|^2 = |<E+-|A_perp>|^2 = 1/2",
-            optical_check="squared cosines with principal axes = 1/2",
-            quantum_residual=float(split_q),
-            optical_residual=float(split_o),
-            quantum_tolerance=1e-10,
-            optical_tolerance=1e-9,
-        ),
-        CorrespondenceRow(
-            label="unit efficiency",
-            quantum_check="eta_qm = 1",
-            optical_check="|j_xy|/P = 1 in the optimal frame",
-            quantum_residual=float(eta_q),
-            optical_residual=float(eta_o),
-            quantum_tolerance=1e-6,
-            optical_tolerance=1e-9,
-        ),
+        CorrespondenceRow(label, q_check, o_check, float(q), float(o), q_tol, _OPTICAL_TOL)
+        for (label, q_check, o_check, q_tol), (q, o) in zip(_ROWS, pairs)
     )
-    return CorrespondenceReport(rows=rows)
+    return CorrespondenceReport(rows=tuple(rows))

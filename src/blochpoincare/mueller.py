@@ -37,6 +37,8 @@ A_MATRIX_INVERSE = A_MATRIX.conj().T / 2.0
 STOKES_BASIS = (IDENTITY2, PAULI_Z, PAULI_X, -PAULI_Y)
 
 _DEFAULT_PROBE_SEED = 20240801
+_UNITARY_TOL = 1e-10  # the bound on max |U^dagger U - I|, and on the rotation block of its lift
+_IMAG_TOL = 1e-12  # the bound on a Mueller lift's imaginary residue, relative to its largest entry
 
 
 class MuellerClass(enum.Enum):
@@ -44,27 +46,25 @@ class MuellerClass(enum.Enum):
     DEPOLARIZING = "depolarizing"
 
 
-def is_unitary(matrix: np.ndarray, tol: float = 1e-10) -> bool:
+def is_unitary(matrix: np.ndarray) -> bool:
+    """True when U^dagger U equals the identity within ``_UNITARY_TOL``."""
     u = np.asarray(matrix, dtype=complex)
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(2))) <= tol)
+    return bool(np.max(np.abs(u.conj().T @ u - np.eye(2))) <= _UNITARY_TOL)
 
 
-def mueller_from_jones(jones: np.ndarray, imag_tol: float = 1e-12) -> np.ndarray:
+def mueller_from_jones(jones: np.ndarray) -> np.ndarray:
     """Mueller matrix A (J (x) J*) A^(-1) of a 2x2 Jones matrix.
 
     Parameters
     ----------
     jones : array_like
         Complex 2x2 transmission matrix acting on the field components.
-    imag_tol : float
-        Ceiling on the imaginary residue of the lifted matrix, relative to
-        its largest entry. The algebra guarantees a real result; anything
-        above rounding noise indicates an internal inconsistency and raises.
 
     Returns
     -------
     numpy.ndarray
-        Real 4x4 matrix acting on Stokes vectors.
+        Real 4x4 matrix acting on Stokes vectors. The algebra makes it real, so
+        an imaginary residue above ``_IMAG_TOL`` of its largest entry raises.
     """
     j = np.asarray(jones, dtype=complex)
     if j.shape != (2, 2):
@@ -76,23 +76,24 @@ def mueller_from_jones(jones: np.ndarray, imag_tol: float = 1e-12) -> np.ndarray
     if not np.all(np.isfinite(lifted)):
         raise ValueError("Mueller lift overflows: Jones entries too large")
     residue = float(np.max(np.abs(lifted.imag)))
-    relative = f"{residue:.3e} > {imag_tol:.1e} relative to its largest entry"
-    bound = imag_tol * float(np.max(np.abs(lifted)))
+    relative = f"{residue:.3e} > {_IMAG_TOL:.1e} relative to its largest entry"
+    bound = _IMAG_TOL * float(np.max(np.abs(lifted)))
     gate(residue, bound, f"Mueller lift produced imaginary residue {relative}")
     return np.ascontiguousarray(lifted.real)
 
 
-def wigner_rotation(unitary: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def wigner_rotation(unitary: np.ndarray) -> np.ndarray:
     """Rotation-type Mueller matrix of a unitary Jones matrix, by traces.
 
     M_ij = (1/2) tr(U^dagger Xi_i U Xi_j) over the Stokes operator basis.
     The result has first row and column (1, 0, 0, 0) and a proper-rotation
-    3x3 block; U and -U give the same image (the mapping is two-to-one).
+    3x3 block, each checked within ``_UNITARY_TOL`` as is the unitarity of U;
+    U and -U give the same image (the mapping is two-to-one).
     """
     u = np.asarray(unitary, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if not is_unitary(u, tol):
+    if not is_unitary(u):
         raise ValueError("input must be unitary")
     udag = u.conj().T
     m = np.empty((4, 4))
@@ -102,6 +103,7 @@ def wigner_rotation(unitary: np.ndarray, tol: float = 1e-10) -> np.ndarray:
             m[i, k] = 0.5 * np.trace(left @ xi_k).real
 
     border = np.concatenate((m[0] - (1.0, 0.0, 0.0, 0.0), m[1:, 0]))
+    tol = _UNITARY_TOL
     gate(np.max(np.abs(border)), tol, "rotation lift lost the intensity row/column structure")
     block = m[1:, 1:]
     gate(np.max(np.abs(block @ block.T - np.eye(3))), tol, "rotation block is not orthogonal")

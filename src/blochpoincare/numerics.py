@@ -18,6 +18,7 @@ IDENTITY2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_HERMITIAN_TOL = 1e-12  # the bound on max |M - M^dagger| of every Hermitian generator
 
 
 def gate(residual, bound, message: str, error=RuntimeError) -> None:
@@ -29,10 +30,10 @@ def gate(residual, bound, message: str, error=RuntimeError) -> None:
         raise error(f"{message} (residual {float(residual)!r}, bound {float(bound)!r})")
 
 
-def is_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when the matrix equals its conjugate transpose within ``tol``."""
+def is_hermitian(matrix: np.ndarray) -> bool:
+    """True when the matrix equals its conjugate transpose within ``_HERMITIAN_TOL``."""
     m = np.asarray(matrix, dtype=complex)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(np.max(np.abs(m - m.conj().T)) <= _HERMITIAN_TOL)
 
 
 def pauli_components(matrix: np.ndarray) -> Tuple[float, float, float, float]:
@@ -77,9 +78,7 @@ def _pauli_axis(ax: float, ay: float, az: float) -> Tuple[float, Optional[np.nda
     return norm, (ax / norm) * PAULI_X + (ay / norm) * PAULI_Y + (az / norm) * PAULI_Z
 
 
-def su2_propagators(
-    hamiltonian: np.ndarray, times, hbar: float = 1.0, tol: float = 1e-12
-) -> np.ndarray:
+def su2_propagators(hamiltonian: np.ndarray, times, hbar: float = 1.0) -> np.ndarray:
     """exp(-i H t / hbar) for each t in ``times``, shape (N, 2, 2), in closed form.
 
     Checks hermiticity and splits H into its trace part and Pauli axis once,
@@ -90,7 +89,7 @@ def su2_propagators(
     h = np.asarray(hamiltonian, dtype=complex)
     if h.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {h.shape}")
-    if not is_hermitian(h, tol):
+    if not is_hermitian(h):
         raise ValueError("generator must be Hermitian")
     a0, ax, ay, az = pauli_components(h)
     norm, axis_dot_sigma = _pauli_axis(ax, ay, az)
@@ -105,7 +104,7 @@ def su2_propagators(
 
 
 def matrix_exponential_su2(
-    hamiltonian: np.ndarray, time: float, hbar: float = 1.0, tol: float = 1e-12
+    hamiltonian: np.ndarray, time: float, hbar: float = 1.0
 ) -> np.ndarray:
     """exp(-i H t / hbar) for a Hermitian 2x2 generator: one row of ``su2_propagators``."""
-    return su2_propagators(hamiltonian, [time], hbar=hbar, tol=tol)[0]
+    return su2_propagators(hamiltonian, [time], hbar=hbar)[0]

@@ -111,10 +111,12 @@ def _exact_rescale(j: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(np.ascontiguousarray(j).view(float), -k).view(complex), k
 
 
-def validate_coherency(mat, tol: float = _BOUND_TOL) -> np.ndarray:
+def validate_coherency(mat) -> np.ndarray:
+    """A finite, Hermitian, nonnegative, Schwarz-bounded 2x2 matrix, each within ``_BOUND_TOL``."""
     j = as_coherency(mat)
     if not np.all(np.isfinite(j)):
         raise ValueError("coherency entries must be finite")
+    tol = _BOUND_TOL
     gate(np.max(np.abs(j - j.conj().T)), tol, "coherency matrix must be Hermitian", ValueError)
     jxx, jyy = j[0, 0].real, j[1, 1].real  # finite, so min() sees no NaN
     gate(-min(jxx, jyy), tol, "diagonal intensities must be nonnegative", ValueError)

@@ -21,8 +21,9 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from .bloch import _moduli, _sphere_angles, _unit_norms
 from .bloch import as_state, fubini_study_angle, is_normalized, normalize, overlap
-from .numerics import gate, is_hermitian, pauli_components, su2_propagators
+from .numerics import _HERMITIAN_TOL, gate, is_hermitian, pauli_components, su2_propagators
 
 _ENDPOINT_TOL = 1e-10
 _DEGENERATE_OVERLAP_TOL = 1e-12
@@ -47,8 +48,8 @@ class Hamiltonian2:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if not is_hermitian(m, tol=1e-12):
-            raise ValueError("Hamiltonian must be Hermitian within 1e-12")
+        if not is_hermitian(m):
+            raise ValueError(f"Hamiltonian must be Hermitian within {_HERMITIAN_TOL!r}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -241,9 +242,8 @@ def _separations(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     gives an angle of about 3e-8, so on its angle alone an exact repeat passes.
     """
     inner = np.vecdot(a, b)
-    # hypot, not np.abs: it rounds as the scalar abs of one overlap does.
-    moduli = np.hypot(inner.real, inner.imag)
-    angles = 2.0 * np.arccos(np.minimum(1.0, moduli))
+    moduli = _moduli(inner)
+    angles = _sphere_angles(moduli)
     phases = np.divide(inner, moduli, out=np.ones_like(inner), where=moduli > 0.0)
     chords = np.linalg.norm(b - a * phases[:, None], axis=-1)
     return angles, (angles > 1e-12) & (2.0 * chords > 1e-12)
@@ -261,7 +261,7 @@ def efficiency(trajectory: Sequence[np.ndarray]) -> EfficiencyReport:
     if len(states) < 2:
         raise ValueError("need at least 2 samples")
     with np.errstate(over="ignore", invalid="ignore"):  # such rows fail the checks below
-        normalized = np.abs(np.vecdot(states, states).real - 1.0) <= 1e-12
+        normalized = _unit_norms(states)
         # The consecutive pairs, then the endpoints as one more pair.
         angles, apart = _separations(
             np.concatenate((states[:-1], states[:1])), np.concatenate((states[1:], states[-1:]))

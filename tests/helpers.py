@@ -4,10 +4,10 @@ Oracles here deliberately avoid the library code paths they are used to
 check: the matrix exponential is a scaled-and-squared Taylor series,
 coherency rotations are spelled out entrywise, maxima come from a grid search
 with golden-section refinement, and period averages from the trapezoid rule.
-The scalar SU(2) exponential, Bloch vector, fidelity, the four one-point
-interference laws, the probe-by-probe Mueller classification and the
-pair-by-pair efficiency walk are the evaluations the batched kernels must
-reproduce bit for bit.
+The scalar SU(2) exponential, Bloch vector, fidelity, unit-norm test and
+sphere angle, the four one-point interference laws, the probe-by-probe Mueller
+classification and the pair-by-pair efficiency walk are the evaluations the
+batched kernels must reproduce bit for bit.
 """
 
 import sys
@@ -15,7 +15,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from blochpoincare.bloch import as_state, bloch_vector, fubini_study_angle, is_normalized, overlap
+from blochpoincare.bloch import as_state, bloch_vector, overlap
 from blochpoincare.mueller import _DEFAULT_PROBE_SEED, MuellerClass
 from blochpoincare.numerics import (
     IDENTITY2,
@@ -318,12 +318,12 @@ def time_average_quadrature(f: Callable[[float], float], period: float, n: int) 
     return float(np.trapezoid(samples, ts) / period)
 
 
-def scalar_su2_exponential(hamiltonian, time, hbar=1.0, tol=1e-12):
+def scalar_su2_exponential(hamiltonian, time, hbar=1.0):
     """exp(-i H t / hbar) at one time, by the closed-form cos/sin rotation formula."""
     h = np.asarray(hamiltonian, dtype=complex)
     if h.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {h.shape}")
-    if not is_hermitian(h, tol):
+    if not is_hermitian(h):
         raise ValueError("generator must be Hermitian")
     a0, ax, ay, az = pauli_components(h)
     phase = np.exp(-1j * a0 * time / hbar)
@@ -357,6 +357,19 @@ def scalar_bloch_vector(state):
 def scalar_fidelity(a, b):
     """|<a|b>|^2 of two states, on a Python complex."""
     return abs(complex(np.vdot(a, b))) ** 2
+
+
+def scalar_is_normalized(state):
+    """|<s|s> - 1| <= 1e-12 for one state, on a numpy scalar."""
+    s = np.asarray(state, dtype=complex)
+    return abs(float(np.vdot(s, s).real) - 1.0) <= 1e-12
+
+
+def scalar_sphere_angle(a, b):
+    """2 arccos(min(1, |<a|b>|)) of two normalized states, on numpy scalars."""
+    if not (scalar_is_normalized(a) and scalar_is_normalized(b)):
+        raise ValueError("both states must be normalized")
+    return float(2.0 * np.arccos(min(1.0, abs(np.vdot(a, b)))))
 
 
 def scalar_classical_intensity(j, theta, epsilon):
@@ -394,7 +407,7 @@ def scalar_pancharatnam_intensity(i_a, i_b, theta_poincare, delta):
 def scalar_quantum_probability(a_amp, b_amp, state_a, state_b):
     """The quantum law for one amplitude pair, on Python complex numbers."""
     sa, sb = as_state(state_a), as_state(state_b)
-    if not (is_normalized(sa) and is_normalized(sb)):
+    if not (scalar_is_normalized(sa) and scalar_is_normalized(sb)):
         raise ValueError("branch states must be normalized")
     a_amp, b_amp = complex(a_amp), complex(b_amp)
     p_a, p_b = abs(a_amp) ** 2, abs(b_amp) ** 2
@@ -448,11 +461,11 @@ def scalar_efficiency(trajectory):
         raise ValueError("need at least 2 samples")
     segments = []
     for prev, curr in zip(states[:-1], states[1:]):
-        seg = fubini_study_angle(prev, curr)
+        seg = scalar_sphere_angle(prev, curr)
         if not _scalar_apart(prev, curr, seg):
             raise ValueError("consecutive samples coincide up to phase")
         segments.append(seg)
-    geodesic_length = fubini_study_angle(states[0], states[-1])
+    geodesic_length = scalar_sphere_angle(states[0], states[-1])
     if not _scalar_apart(states[0], states[-1], geodesic_length):
         raise ValueError("trajectory endpoints coincide up to phase")
     path_length = float(sum(segments))

@@ -9,6 +9,7 @@ from blochpoincare.bloch import (
     fidelities,
     fidelity,
     fubini_study_angle,
+    is_normalized,
     orthogonal_state,
 )
 from helpers import (
@@ -16,6 +17,8 @@ from helpers import (
     random_state,
     scalar_bloch_vector,
     scalar_fidelity,
+    scalar_is_normalized,
+    scalar_sphere_angle,
     state_from_angles,
     states_equal_up_to_phase,
 )
@@ -123,3 +126,45 @@ def test_batched_bloch_vectors_and_fidelities_are_bitwise_the_scalar_ones(a, sta
         assert bitwise_equal(vector, scalar_bloch_vector(state))
         assert bitwise_equal(value, np.float64(scalar_fidelity(a, state)))
         assert fidelity(a, state) == value
+
+
+_UNIT = _STATE.filter(lambda s: np.linalg.norm(s) > 1e-3).map(lambda s: s / np.linalg.norm(s))
+
+
+@st.composite
+def _pairs(draw):
+    """Two vectors: random unit states, near-coincident rays, or raw parts.
+
+    The "rescaled" pairs put the second squared norm on both sides of the unit-norm bound.
+    """
+    kind = draw(st.sampled_from(("random", "near", "rescaled", "raw")))
+    if kind == "raw":
+        return draw(_STATE), draw(_STATE)
+    a = draw(_UNIT)
+    if kind == "random":
+        return a, draw(_UNIT)
+    if kind == "rescaled":
+        return a, a * (1.0 + draw(st.floats(-3e-12, 3e-12)))
+    phase = draw(st.floats(min_value=0.0, max_value=2.0 * np.pi))
+    b = a * np.exp(1j * phase) + draw(_STATE) * 10.0 ** draw(st.floats(-17.0, -3.0))
+    return a, b / np.linalg.norm(b)
+
+
+def _angle_or_error(angle, a, b):
+    try:
+        return np.float64(angle(a, b))
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(pair=_pairs())
+def test_scalar_kernels_are_bitwise_their_independent_oracles(pair):
+    a, b = pair
+    value = fidelity(a, b)
+    assert type(value) is float
+    assert bitwise_equal(np.float64(value), np.float64(scalar_fidelity(a, b)))
+    for state in (a, b):
+        assert is_normalized(state) is scalar_is_normalized(state)
+    angle, oracle = (_angle_or_error(f, a, b) for f in (fubini_study_angle, scalar_sphere_angle))
+    assert angle == oracle if isinstance(oracle, str) else bitwise_equal(angle, oracle)

@@ -453,6 +453,9 @@ def test_published_schema_is_the_packaged_one():
     assert sorted(published["kinds"]) == sorted(cli.KINDS)
     evolve = published["kinds"]["evolve"]["properties"]["parameters"]["properties"]
     assert evolve["route"]["enum"] == [r.value for r in Route]
+    kinds = published["kinds"].items()
+    formats = {k: v["properties"]["output"]["properties"]["format"]["enum"] for k, v in kinds}
+    assert formats == {k: ["json"] if k in cli._JSON_ONLY_KINDS else ["json", "csv"] for k in cli.KINDS}
 
 
 @pytest.mark.parametrize(
@@ -1063,6 +1066,16 @@ def test_json_only_kinds_refuse_csv_and_write_nothing(tmp_path, capsys, kind):
         assert capsys.readouterr().err == f"error: {kind} emits JSON only\n"
         assert cli.main(argv) == cli.EXIT_SCHEMA
         assert "no polarized part" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(_JSON_ONLY))
+def test_json_only_kinds_name_a_csv_output_format_in_the_config(tmp_path, capsys, kind):
+    out = tmp_path / "out.csv"
+    config = dict(_JSON_ONLY[kind], output={"path": str(out), "format": "csv"})
+    assert cli.main([kind, "--config", str(write_config(tmp_path, config))]) == cli.EXIT_SCHEMA
+    expected = "error: config field 'output/format': 'csv' is not one of ['json']\n"
+    assert capsys.readouterr() == ("", expected)
     assert not out.exists()
 
 

@@ -258,6 +258,50 @@ def test_worked_pair_passes_every_row():
     assert "MISMATCH" not in table
 
 
+def test_worked_pair_rows_state_their_checks_and_tolerances():
+    report = correspondence_report(make_quantum_scenario(), make_optical_scenario()).as_dict()
+    computed = {"quantum_residual", "optical_residual", "quantum_pass", "optical_pass", "pass"}
+    rows = [{k: v for k, v in row.items() if k not in computed} for row in report["rows"]]
+    assert set(report) == {"all_passed", "rows"}
+    assert rows == [
+        {
+            "label": "constraint conservation",
+            "quantum_check": "(E+ - E-)^2 = (h11 - h22)^2 + 4|h12|^2",
+            "optical_check": "I_pol^2 invariant under frame rotation",
+            "quantum_tolerance": 1e-10,
+            "optical_tolerance": 1e-9,
+        },
+        {
+            "label": "equal diagonal",
+            "quantum_check": "h11 = h22",
+            "optical_check": "Jx'x' = Jy'y'",
+            "quantum_tolerance": 1e-10,
+            "optical_tolerance": 1e-9,
+        },
+        {
+            "label": "maximal off-diagonal",
+            "quantum_check": "|h12| = E0/2",
+            "optical_check": "|Jx'y'| = I_pol/2",
+            "quantum_tolerance": 1e-10,
+            "optical_tolerance": 1e-9,
+        },
+        {
+            "label": "equal-split overlaps",
+            "quantum_check": "|<E+-|A>|^2 = |<E+-|A_perp>|^2 = 1/2",
+            "optical_check": "squared cosines with principal axes = 1/2",
+            "quantum_tolerance": 1e-10,
+            "optical_tolerance": 1e-9,
+        },
+        {
+            "label": "unit efficiency",
+            "quantum_check": "eta_qm = 1",
+            "optical_check": "|j_xy|/P = 1 in the optimal frame",
+            "quantum_tolerance": 1e-6,
+            "optical_tolerance": 1e-9,
+        },
+    ]
+
+
 def test_detour_fails_only_the_quantum_efficiency_side():
     report = correspondence_report(
         make_quantum_scenario(detour=True), make_optical_scenario()
