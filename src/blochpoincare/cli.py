@@ -10,13 +10,13 @@ Outputs are byte-deterministic for identical configs (sorted keys, fixed
 float formatting, no timestamps). Every successful run re-validates the
 library invariants on its own outputs before writing.
 
-A config may be an array of scenarios, a batch. Its entries may run on
-several CPUs: contiguous slices of them run in forked worker processes, one
-per CPU the process may use, and this process replays their captured stdout
-and stderr in entry order. Every file, each stream and the exit code are
-those of the in-order run; ``taskset -c 0`` gives one CPU. A batch in which
-two entries name one target, or a target that is not a regular file, runs
-in order in one process.
+A config may be an array of scenarios, a batch. Each entry's stdout and
+stderr, warnings included, are what it writes run alone, in entry order.
+Contiguous slices of the entries run in forked worker processes, one per CPU
+the process may use, and this process writes their captured streams in
+entry order: every file, each stream and the exit code are those of the
+in-order run; ``taskset -c 0`` gives one CPU. A batch in which two entries
+name one target, or a target that is not a regular file, runs in order.
 
 Exit codes, each with the prefix of its one stderr line: 0 success; 2 a
 config or schema violation, ``error:``; 3 a numerical gate failure,
@@ -31,6 +31,7 @@ import argparse
 import contextlib
 import functools
 import importlib.resources
+import io
 import json
 import math
 import numbers
@@ -86,9 +87,6 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 KINDS = ("evolve", "optimize-coherence", "mueller", "interference", "correspondence")
-# The kinds whose runners read hbar and the endpoint-fidelity tolerances.
-_HBAR_KINDS = ("evolve", "correspondence")
-_JSON_ONLY_KINDS = ("optimize-coherence", "mueller", "correspondence")
 
 TRAJECTORY_HEADER = "t,re_c0,im_c0,re_c1,im_c1,bx,by,bz,fidelity"
 
@@ -620,38 +618,40 @@ def _run_correspondence(config: dict, fmt: str, out_path: str, hbar: float) -> N
 
 
 def run(kind: str, config: dict, args: argparse.Namespace) -> int:
-    """Validate and execute one scenario; returns a process exit code."""
-    try:
-        _validate_config(kind, config)  # a config's kind is the schema's const
-        params = config["parameters"]
-        if getattr(args, "degrees", False):
-            params = _convert_degrees(kind, params)
-            config = dict(config, parameters=params)
-        if kind in _HBAR_KINDS:
-            if args.tolerance is not None:
-                tolerances = dict(config.get("tolerances", {}))
-                tolerances["default"] = args.tolerance
-                config = dict(config, tolerances=tolerances)
-            hbar = float(args.hbar if args.hbar is not None else config.get("hbar", 1.0))
+    """Validate and execute one scenario, showing the warnings it shows run alone; its exit code."""
+    with warnings.catch_warnings():  # resets the registries of shown warnings; restores the filters
+        try:
+            _validate_config(kind, config)  # a config's kind is the schema's const
+            properties = _kind_schemas()[kind]["properties"]
+            params = config["parameters"]
+            if getattr(args, "degrees", False):
+                params = _convert_degrees(kind, params)
+                config = dict(config, parameters=params)
+            if "hbar" in properties:  # a kind reading hbar reads the endpoint-fidelity gate too
+                if args.tolerance is not None:
+                    tolerances = dict(config.get("tolerances", {}))
+                    tolerances["default"] = args.tolerance
+                    config = dict(config, tolerances=tolerances)
+                hbar = float(args.hbar if args.hbar is not None else config.get("hbar", 1.0))
 
-        output = config.get("output", {})
-        out_path = args.output or output.get("path", "-")
-        fmt = args.format or output.get("format", "json")
-        if fmt != "json" and kind in _JSON_ONLY_KINDS:
-            raise ConfigError(f"{kind} emits JSON only")
+            output = config.get("output", {})
+            out_path = args.output or output.get("path", "-")
+            fmt = args.format or output.get("format", "json")
+            if fmt not in properties["output"]["properties"]["format"]["enum"]:
+                raise ConfigError(f"{kind} emits JSON only")
 
-        if kind == "evolve":
-            _run_evolve(config, fmt, out_path, hbar)
-        elif kind == "optimize-coherence":
-            _run_optimize(config, fmt, out_path)
-        elif kind == "mueller":
-            _run_mueller(config, fmt, out_path, args.seed)
-        elif kind == "interference":
-            _run_interference(config, fmt, out_path)
-        else:
-            _run_correspondence(config, fmt, out_path, hbar)
-    except Exception as exc:
-        return _fail(exc)
+            if kind == "evolve":
+                _run_evolve(config, fmt, out_path, hbar)
+            elif kind == "optimize-coherence":
+                _run_optimize(config, fmt, out_path)
+            elif kind == "mueller":
+                _run_mueller(config, fmt, out_path, args.seed)
+            elif kind == "interference":
+                _run_interference(config, fmt, out_path)
+            else:
+                _run_correspondence(config, fmt, out_path, hbar)
+        except Exception as exc:
+            return _fail(exc)
     return EXIT_OK
 
 
@@ -716,35 +716,9 @@ def _batch_width(entries: list) -> int:
     return min(len(os.sched_getaffinity(0)), len(entries))
 
 
-class _Capture(list):
-    """A worker's stdout or stderr: the text written and the warnings shown, in order."""
-
-    write = list.append
-    writelines = list.extend
-
-    def flush(self) -> None:
-        pass
-
-
-def _capture_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    """A worker's ``warnings.showwarning``: keep the warning in its place on the captured stderr."""
-    sys.stderr.append((message, filename, lineno))
-
-
-def _show_again(message: Warning, filename: str, lineno: int) -> None:
-    """Show a warning that a worker showed, as the in-order run would have shown it.
-
-    It passes through this process's filters and the registry of the module
-    it came from, which drop it when an earlier entry showed it already.
-    """
-    module = next(
-        (m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == filename), None
-    )
-    namespace = vars(module) if module is not None else {"__name__": filename}
-    registry = namespace.setdefault("__warningregistry__", {})
-    warnings.warn_explicit(
-        message, type(message), filename, lineno, namespace["__name__"], registry, namespace
-    )
+def _show_as_text(message, category, filename, lineno, file=None, line=None) -> None:
+    """A worker's ``warnings.showwarning``: the default text on the entry's captured stderr."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
 
 def _worker(kind: str, entries: list, args: argparse.Namespace, result: int, inherited) -> None:
@@ -753,11 +727,11 @@ def _worker(kind: str, entries: list, args: argparse.Namespace, result: int, inh
     try:
         for fd in inherited:
             os.close(fd)
-        warnings.showwarning = _capture_warning
+        warnings.showwarning = _show_as_text  # over any hook, whose records would stay here
         records = []
         for entry in entries:
-            sys.stdout, sys.stderr = out, err = _Capture(), _Capture()
-            records.append((run(kind, entry, args), out, err))
+            sys.stdout, sys.stderr = out, err = io.StringIO(), io.StringIO()
+            records.append((run(kind, entry, args), out.getvalue(), err.getvalue()))
         with open(result, "wb") as pipe:
             pickle.dump(records, pipe, pickle.HIGHEST_PROTOCOL)
         status = EXIT_OK
@@ -786,15 +760,11 @@ def _start_worker(
     return pid
 
 
-def _replay(code: int, out: list, err: list) -> int:
+def _replay(code: int, out: str, err: str) -> int:
     """Write one worker record to this process's streams; failing to is the entry's exit 4."""
     try:
-        sys.stdout.writelines(out)
-        for piece in err:
-            if isinstance(piece, str):
-                sys.stderr.write(piece)
-            else:
-                _show_again(*piece)
+        sys.stdout.write(out)
+        sys.stderr.write(err)
     except OSError as exc:  # worded as run() words a failed write to stdout
         failed = _fail(exc)
         return code or failed
@@ -831,10 +801,10 @@ def _run_batch(kind: str, entries: list, args: argparse.Namespace) -> int:
 
     The entries are cut into one contiguous slice per CPU the process may use.
     This process runs the first slice; each other slice runs in a forked
-    worker that captures every entry's stdout, stderr and shown warnings.
-    This process then replays the records in entry order, so every file,
-    each stream and the exit code are those of the in-order run. A slice
-    whose worker cannot be started runs here, in its turn.
+    worker that captures every entry's stdout and stderr as text. An entry's
+    streams depend on that entry only, so this process writes the records in
+    entry order, and every file, each stream and the exit code are those of
+    the in-order run. A slice whose worker cannot be started runs here, in its turn.
     """
     width = _batch_width(entries)
     bounds = [len(entries) * i // width for i in range(width + 1)]
@@ -923,7 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", required=True, help="JSON config path, or - for stdin")
         sub.add_argument("--output", help="output path, or - for stdout")
         sub.add_argument("--format", choices=["json", "csv"], help="output format")
-        if kind in _HBAR_KINDS:
+        if "hbar" in _kind_schemas()[kind]["properties"]:
             sub.add_argument("--hbar", type=positive_float, help="value of hbar (default 1)")
             tolerance = "endpoint-fidelity gate tolerance if tolerances.endpoint_fidelity is unset"
             sub.add_argument("--tolerance", type=positive_float, help=tolerance)
@@ -950,8 +920,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if isinstance(config, dict):
             return run(args.kind, config, args)
 
-        # Batch of independent scenarios; each carries its own output and shares
-        # no state with the others, so slices of them may run in worker processes.
+        # Batch of independent scenarios: each carries its own output and shares no
+        # state, warnings included, with the others, so slices may run in workers.
         if args.output:
             raise ConfigError("batch configs must carry per-scenario output paths")
         bad = next(

@@ -196,7 +196,8 @@ def synthesize_max_uncertainty(a, b, e: float, hbar: float = 1.0) -> SynthesisRe
     h = Hamiltonian2(m)
 
     mean = float(np.real(np.vdot(a, h.matrix @ a)))
-    gate(abs(mean), _ENDPOINT_TOL, f"synthesis failed: <a|H|a> = {mean:.3e}, expected 0")
+    bound = _ENDPOINT_TOL * max(1.0, e)  # <a|H|a> scales with e, and so does its bound above 1
+    gate(abs(mean), bound, f"synthesis failed: <a|H|a> = {mean:.3e}, expected 0")
     t_min = hbar * theta / (2.0 * e)
     _check_endpoint(h, a, b, t_min, hbar)
     return SynthesisResult(

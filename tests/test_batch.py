@@ -4,7 +4,9 @@ Each case runs a batch through ``cli.main`` in-process, once as it comes and
 once with ``os.sched_getaffinity`` reporting one CPU, which is the in-order
 run, and compares the exit code, stdout, stderr and the bytes of every file.
 The cases that need a worker report two CPUs, so they fork one worker even on
-a one-CPU machine. Every case ends with no child process left to reap.
+a one-CPU machine. Every case ends with no child process left to reap. The
+cases on warnings run the CLI in new processes, which show warnings as the
+CLI does, and compare a batch's streams with those of its entries run alone.
 """
 
 import contextlib
@@ -14,6 +16,7 @@ import json
 import os
 import pickle
 import signal
+import subprocess
 import sys
 import tempfile
 import threading
@@ -283,28 +286,105 @@ def test_a_failed_replay_prints_an_io_error_and_keeps_a_failed_entry_code(
     capsys, monkeypatch, code, kept
 ):
     monkeypatch.setattr(sys, "stdout", _BrokenStdout())
-    assert cli._replay(code, ["a table\n"], ["numerical gate failure: a gate\n"]) == kept
+    assert cli._replay(code, "a table\n", "numerical gate failure: a gate\n") == kept
     assert capsys.readouterr().err == "i/o error: [Errno 32] Broken pipe\n"
 
 
-def test_warnings_are_shown_as_in_order_across_slices(tmp_path):
-    # Overflowing beams warn in the degree of polarization. The worker's slice
-    # repeats the warnings of a 1e155 beam, which the first slice showed, and
-    # meets new ones on a 1.7e308 beam.
-    values = [1e155, 3.0, 3.0, 3.0, 1e155, 1.7e308, 1e155, 1.7e308]
-    entries = [
-        {"parameters": {"coherency": [[value, 1.0], [1.0, 1.0]]}, "output": {"path": f"w{i}.json"}}
-        for i, value in enumerate(values)
+# A batch run in a new process under a -W action on ``cpus`` CPUs: the argv holds the
+# CPU count, then the CLI's. Where fewer CPUs are available, the batch is cut as if
+# there were that many.
+_PINNED = """
+import os, sys
+cpus = int(sys.argv[1])
+available = sorted(os.sched_getaffinity(0))
+if len(available) >= cpus:
+    os.sched_setaffinity(0, available[:cpus])
+else:
+    os.sched_getaffinity = lambda pid: set(range(cpus))
+from blochpoincare.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+# optimize-coherence entries by what they show: a file, a stdout document, exit 2
+# with no warning, and warnings on overflow then exit 3 (1e155) or exit 2 (1.7e308).
+_BEAMS = {
+    "file": 3.0,
+    "stdout": 3.0,
+    "unpolarized": 1.0,
+    "overflow": 1e155,
+    "overflow-max": 1.7e308,
+}
+# Two CPUs cut the batch after entry 4. Warnings repeat in the first slice, in the
+# worker's, and from one slice to the other.
+_MIXED = ["overflow", "overflow-max", "overflow", "unpolarized", "file",
+          "overflow-max", "stdout", "overflow", "overflow", "file"]
+
+
+def _entry(case: str, name: str) -> dict:
+    off_diagonal = 0.0 if case == "unpolarized" else 1.0
+    beam = [[_BEAMS[case], off_diagonal], [off_diagonal, 1.0]]
+    return {"parameters": {"coherency": beam}, "output": {"path": "-" if case == "stdout" else name}}
+
+
+def _processes(runs: list) -> list:
+    """Exit code, stdout, stderr and files of each ``(directory, action, cpus, config)`` run.
+
+    The runs go two at a time, each a new process under ``-W action``.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    results = []
+    for pair in (runs[i : i + 2] for i in range(0, len(runs), 2)):
+        started = []
+        for directory, action, cpus, config in pair:
+            directory.mkdir()
+            (directory / "config.json").write_text(json.dumps(config), encoding="utf-8")
+            argv = [sys.executable, "-W", action, "-c", _PINNED, str(cpus)]
+            argv += ["optimize-coherence", "--config", "config.json"]
+            started.append((directory, subprocess.Popen(
+                argv, cwd=directory, env=env, text=True,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            )))
+        for directory, process in started:
+            out, err = process.communicate(timeout=120)
+            files = {p.name: p.read_bytes() for p in directory.iterdir() if p.name != "config.json"}
+            results.append((process.returncode, out, err, files))
+    return results
+
+
+@pytest.mark.parametrize("action", ["default", "once", "module", "always"])
+def test_each_entry_shows_what_it_shows_alone_on_any_number_of_cpus(tmp_path, action):
+    # In a new process, since pytest records the warnings of this one, and a
+    # forked worker's records would never reach it.
+    entries = [_entry(case, f"out{index}.json") for index, case in enumerate(_MIXED)]
+    runs = [(tmp_path / f"cpus{cpus}", action, cpus, entries) for cpus in (1, 2)]
+    runs += [(tmp_path / case, action, 1, _entry(case, "out.json")) for case in _BEAMS]
+    one_cpu, two_cpus, *alone = _processes(runs)
+    assert one_cpu == two_cpus
+    alone = dict(zip(_BEAMS, alone))
+    assert [case for case in _BEAMS if "RuntimeWarning" in alone[case][2]] == [
+        "overflow", "overflow-max"
     ]
-    runs = []
-    for cpus in (2, 1):
-        directory = tmp_path / str(cpus)
-        directory.mkdir()
-        with warnings.catch_warnings(record=True) as shown:
-            warnings.simplefilter("default")
-            result = _run(directory, "optimize-coherence", entries, cpus=cpus)
-        runs.append((result, [(w.category, str(w.message), w.filename, w.lineno) for w in shown]))
-    assert runs[0] == runs[1]
-    shown = runs[1][1]
-    assert len(set(shown)) == len(shown) > 4
+    code, out, err, files = one_cpu
+    assert code == next(alone[case][0] for case in _MIXED if alone[case][0])
+    assert out == "".join(alone[case][1] for case in _MIXED)
+    assert err == "".join(alone[case][2] for case in _MIXED)
+    assert files == {
+        f"out{index}.json": alone[case][3]["out.json"]
+        for index, case in enumerate(_MIXED)
+        if case == "file"
+    }
+
+
+def test_a_worker_shows_its_warnings_as_text_whatever_hook_this_process_has(tmp_path):
+    entries = [_entry("file", "out0.json"), _entry("overflow", "out1.json")]
+    with warnings.catch_warnings(record=True) as recorded:  # a hook recording this process's
+        warnings.simplefilter("always")
+        code, _, err, _ = _run(tmp_path, "optimize-coherence", entries, cpus=2)
+    *shown, failure = err.splitlines()
+    assert (code, recorded) == (cli.EXIT_NUMERIC, [])
+    assert failure.startswith("numerical gate failure: rotated coherence")
+    polarization = str(Path(cli.__file__).with_name("polarization.py"))
+    assert shown and all(line.startswith(f"{polarization}:") for line in shown[::2])
+    assert all(": RuntimeWarning: " in line for line in shown[::2])
     _no_child_left()

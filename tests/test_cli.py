@@ -453,9 +453,17 @@ def test_published_schema_is_the_packaged_one():
     assert sorted(published["kinds"]) == sorted(cli.KINDS)
     evolve = published["kinds"]["evolve"]["properties"]["parameters"]["properties"]
     assert evolve["route"]["enum"] == [r.value for r in Route]
+    # The CLI reads each kind's output formats, and whether it takes hbar, from this file.
     kinds = published["kinds"].items()
     formats = {k: v["properties"]["output"]["properties"]["format"]["enum"] for k, v in kinds}
-    assert formats == {k: ["json"] if k in cli._JSON_ONLY_KINDS else ["json", "csv"] for k in cli.KINDS}
+    assert formats == {
+        "evolve": ["json", "csv"],
+        "optimize-coherence": ["json"],
+        "mueller": ["json"],
+        "interference": ["json", "csv"],
+        "correspondence": ["json"],
+    }
+    assert sorted(k for k, v in kinds if "hbar" in v["properties"]) == ["correspondence", "evolve"]
 
 
 @pytest.mark.parametrize(
@@ -651,6 +659,25 @@ def test_evolve_at_a_subnormal_energy(tmp_path, route):
     quarter_turns = 2.0 if route == Route.TIME_MINIMIZATION.value else 1.0
     assert last[0] * 1e-310 / 1e-10 == pytest.approx(quarter_turns * np.pi / 4.0, rel=1e-12)
     assert last[-1] >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("energy", [1e8, 1e12, 1e100, 1e300])
+def test_max_uncertainty_mean_energy_is_gated_relative_to_the_energy(tmp_path, energy):
+    # <a|H|a> of this pair rounds to about -9.6e-18 e: above an absolute 1e-10 from e = 1e8.
+    params = {
+        "initial": [1.0, 0.0],
+        "target": [
+            [-0.689845679191531, 0.030522236622349753],
+            [-0.564800859396535, 0.45186427298169995],
+        ],
+        "energy": energy,
+        "route": Route.UNCERTAINTY_MAXIMIZATION.value,
+        "samples": 5,
+    }
+    config = write_config(tmp_path, {"parameters": params})
+    out = tmp_path / "trajectory.json"
+    assert cli.main(["evolve", "--config", str(config), "--output", str(out)]) == cli.EXIT_OK
+    assert json.loads(out.read_text())["trajectory"][-1]["fidelity_to_target"] >= 1.0 - 1e-9
 
 
 INTERFERENCE_SWEEPS = {
