@@ -5,15 +5,17 @@ input, so a change to one construction shows without process noise. The
 correspondence chain is the runner's optical and efficiency steps on one
 beam and a synthesized trajectory; the classical sweep is the interference
 runner's two law calls on a 120 x 120 grid. The render cases write a sweep's
-computed columns to a file as the evolve and interference runners do. The
-validation cases time a valid config, which the built-in schema checker
-passes, and an invalid one, which jsonschema words. One case times
-``import blochpoincare.cli`` in fresh interpreters and records the median
-``-X importtime`` cumulative time in its ``extra_info`` (written by
-``--benchmark-json``). The batch cases time the scenario runners (layer 3):
-perfbench's seed-0 ``scenario_batch`` batch of 600 ``optimize-coherence``
-scenarios through ``cli.main`` in-process, on the CPUs the process may use
-and on one CPU. Run them from the repository root, outside the tier-1
+computed columns to a file as the evolve and interference runners do, on the
+CPUs the process may use and on one CPU (layer 4). The validation cases time
+a valid config, which the built-in schema checker passes, and an invalid
+one, which jsonschema words. One case times ``import blochpoincare.cli`` in
+fresh interpreters and records the median ``-X importtime`` cumulative time
+in its ``extra_info`` (written by ``--benchmark-json``). The batch cases
+time the scenario runners (layer 3): perfbench's seed-0 ``scenario_batch``
+batch of 600 ``optimize-coherence`` scenarios through ``cli.main``
+in-process, on the CPUs the process may use and on one CPU. The render and
+batch cases record how many processes share the work as ``processes`` in
+their ``extra_info``. Run them from the repository root, outside the tier-1
 suite:
 
     PYTHONPATH=src python -m pytest benchmarks -q
@@ -22,6 +24,7 @@ pytest-benchmark prints min, median, IQR and rounds per case.
 """
 
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -154,13 +157,24 @@ def _trajectory(samples):
     return times, states.view(float), bloch_vectors(states), fidelities(TARGET, states)
 
 
-def test_emit_csv_trajectory_10000_rows(benchmark, tmp_path):
+def _cpus(benchmark, monkeypatch, cpus: str, units: int) -> None:
+    """Report one CPU where ``cpus`` is ``"one"``; record the processes sharing ``units``."""
+    if cpus == "one":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    benchmark.extra_info["processes"] = min(len(os.sched_getaffinity(0)), units)
+
+
+@pytest.mark.parametrize("cpus", ["affinity", "one"])
+def test_emit_csv_trajectory_10000_rows(benchmark, tmp_path, monkeypatch, cpus):
+    _cpus(benchmark, monkeypatch, cpus, math.ceil(10_000 / cli._BLOCK))
     columns = _trajectory(10_000)
     path = str(tmp_path / "trajectory.csv")
     benchmark(lambda: emit_csv(np.column_stack(columns), TRAJECTORY_HEADER, path))
 
 
-def test_emit_json_trajectory_10000_rows(benchmark, tmp_path):
+@pytest.mark.parametrize("cpus", ["affinity", "one"])
+def test_emit_json_trajectory_10000_rows(benchmark, tmp_path, monkeypatch, cpus):
+    _cpus(benchmark, monkeypatch, cpus, math.ceil(10_000 / cli._BLOCK))
     times, parts, bloch, fid = _trajectory(10_000)
     path = str(tmp_path / "trajectory.json")
 
@@ -171,7 +185,9 @@ def test_emit_json_trajectory_10000_rows(benchmark, tmp_path):
     benchmark(emit)
 
 
-def test_emit_json_pancharatnam_40000_rows(benchmark, tmp_path):
+@pytest.mark.parametrize("cpus", ["affinity", "one"])
+def test_emit_json_pancharatnam_40000_rows(benchmark, tmp_path, monkeypatch, cpus):
+    _cpus(benchmark, monkeypatch, cpus, math.ceil(40_000 / cli._BLOCK))
     grids = np.linspace(0.0, np.pi, 200), np.linspace(0.0, 2.0 * np.pi, 200)
     theta, delta = np.meshgrid(*grids, indexing="ij")
     columns = theta, delta, pancharatnam_intensity(1.0, 0.5, theta, delta)
@@ -203,8 +219,6 @@ def test_optimize_coherence_batch_600_scenarios(benchmark, tmp_path, monkeypatch
     assert len(entries) == 600
     (tmp_path / "batch.json").write_text(json.dumps(entries), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    if cpus == "one":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    benchmark.extra_info["processes"] = min(len(os.sched_getaffinity(0)), len(entries))
+    _cpus(benchmark, monkeypatch, cpus, len(entries))
     argv = ["optimize-coherence", "--config", "batch.json"]
     assert benchmark.pedantic(cli.main, args=(argv,), rounds=5, warmup_rounds=1) == cli.EXIT_OK

@@ -8,14 +8,17 @@ schema keywords that file uses passes a valid config; only a config it
 rejects goes to jsonschema, imported then, which words the first error.
 Outputs are byte-deterministic for identical configs (sorted keys, fixed
 float formatting, no timestamps). Every successful run re-validates the
-library invariants on its own outputs before writing.
+library invariants on its own outputs before writing. A table longer than
+1024 rows is formatted on every CPU the process may use: contiguous slices
+of its rows go to forked worker processes, and this process writes their
+text in row order, so the bytes are the same on any number of CPUs.
 
 A config may be an array of scenarios, a batch. Each entry's stdout and
 stderr, warnings included, are what it writes run alone, in entry order.
-Contiguous slices of the entries run in forked worker processes, one per CPU
-the process may use, and this process writes their captured streams in
+Slices of the entries run in forked workers in the same way, each formatting
+its own tables in place, and this process writes their captured streams in
 entry order: every file, each stream and the exit code are those of the
-in-order run; ``taskset -c 0`` gives one CPU. A batch in which two entries
+in-order run. ``taskset -c 0`` gives one CPU. A batch in which two entries
 name one target, or a target that is not a regular file, runs in order.
 
 Exit codes, each with the prefix of its one stderr line: 0 success; 2 a
@@ -28,6 +31,7 @@ fields at fault as ``config field 'a': ...`` or ``config fields 'a' and 'b': ...
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import functools
 import importlib.resources
@@ -43,7 +47,7 @@ import threading
 import warnings
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -250,6 +254,78 @@ def _convert_degrees(kind: str, params: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Forked workers
+# ---------------------------------------------------------------------------
+
+_forked = False  # whether slices of this process run in workers; true in each worker too
+
+
+def _start_worker(task: Callable, lo: int, hi: int, workers: dict) -> Optional[int]:
+    """Fork ``task(lo, hi, file)`` on an anonymous file, kept in ``workers``; its pid, or None."""
+    try:
+        file = open(os.memfd_create("slice"), "w+b")
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        file.close()
+        return None
+    if pid == 0:
+        status = EXIT_NUMERIC
+        try:
+            task(lo, hi, file)
+            file.flush()
+            status = EXIT_OK
+        finally:
+            os._exit(status)  # never back into the caller's stack, its buffers or its atexit hooks
+    workers[pid] = file
+    return pid
+
+
+def _slices(units: int, task: Callable, fork: bool = True) -> Iterator[tuple]:
+    """Cut ``range(units)`` into one contiguous slice per CPU the process may use, in order.
+
+    A forked worker runs each slice but the first as ``task(lo, hi, file)``. Each
+    slice is yielded as ``(lo, hi, None)`` for this process to do (the first, and
+    any whose worker could not start), else as ``(lo, hi, (code, file))`` once its
+    worker has exited with ``code`` (minus its signal), ``file`` rewound. Every
+    worker is reaped, also when the consumer stops part-way. There is one slice
+    where ``fork`` is false, in a process with other Python threads (a lock one of
+    them holds would stay held in a worker), and within another call's slices.
+    """
+    global _forked
+    width, held = 1, _forked
+    if fork and units > 1 and not held and threading.active_count() == 1:
+        if all(hasattr(os, name) for name in ("fork", "memfd_create", "sched_getaffinity")):
+            width = min(len(os.sched_getaffinity(0)), units)
+    bounds = [units * i // width for i in range(width + 1)]
+    started = [(0, bounds[1], None)]  # (lo, hi, worker pid or None)
+    workers = {}  # pid -> file, for each worker not yet reaped
+    _forked = held or width > 1
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on a fork while any thread runs, and counts the
+            # BLAS pool's idle native threads, which its fork handlers stop.
+            warnings.filterwarnings("ignore", "This process .* multi-threaded", DeprecationWarning)
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                started.append((lo, hi, _start_worker(task, lo, hi, workers)))
+        for lo, hi, pid in started:
+            if pid is None:
+                yield lo, hi, None
+                continue
+            returned = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            with workers.pop(pid) as file:
+                file.seek(0)
+                yield lo, hi, (returned, file)
+    finally:
+        _forked = held
+        for pid, file in workers.items():  # left only when the consumer stopped part-way
+            file.close()
+            os.waitpid(pid, 0)
+
+
+# ---------------------------------------------------------------------------
 # Deterministic serialization
 # ---------------------------------------------------------------------------
 
@@ -290,11 +366,27 @@ def _row_template(shape: tuple, indent: int) -> str:
 
 
 def _row_chunks(template: str, table: np.ndarray) -> Iterator[str]:
-    """``template % row`` for each row of the 2-D ``table``, joined in blocks of rows."""
+    """``template % row`` for each row of the 2-D ``table``, joined in blocks of rows.
+
+    Workers format the slices of blocks after the first, streamed here in turn;
+    formatting is pure, so a slice whose worker failed is formatted here.
+    """
     if not np.isfinite(table).all():
         raise ValueError("refusing to serialize a non-finite float")
-    for start in range(0, len(table), _BLOCK):
-        yield "".join([template % tuple(row) for row in table[start : start + _BLOCK].tolist()])
+
+    def blocks(lo: int, hi: int) -> Iterator[str]:
+        for start in range(lo * _BLOCK, min(hi * _BLOCK, len(table)), _BLOCK):
+            yield "".join([template % tuple(row) for row in table[start : start + _BLOCK].tolist()])
+
+    def format_slice(lo: int, hi: int, file: BinaryIO) -> None:
+        file.writelines(map(str.encode, blocks(lo, hi)))
+
+    for lo, hi, worker in _slices(math.ceil(len(table) / _BLOCK), format_slice):
+        if worker is None or worker[0]:  # the first slice, or one whose worker failed
+            yield from blocks(lo, hi)
+        else:
+            chunks = iter(functools.partial(worker[1].read, 1 << 16), b"")
+            yield from codecs.iterdecode(chunks, "utf-8")
 
 
 def _json_chunks(container, indent: int) -> Iterator[str]:
@@ -685,18 +777,12 @@ def _fail(exc: Exception) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _batch_width(entries: list) -> int:
-    """How many processes may share ``entries``; 1 where a parallel run could differ.
+def _distinct_targets(entries: list) -> bool:
+    """Whether ``entries`` may run out of order, writing what the in-order run writes.
 
-    Two entries whose targets resolve to one file must write in order, so the
-    later one wins, and so must a target that is not a regular file (a FIFO,
-    a device, ``/dev/stdout``). A process with other Python threads is not
-    forked, since a lock one of them holds would stay held in the worker.
+    Two entries whose targets resolve to one file must write in order, so the later
+    one wins, and so must a target that is not a regular file (a FIFO, ``/dev/stdout``).
     """
-    if len(entries) < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    if threading.active_count() > 1:
-        return 1
     targets = set()
     for entry in entries:
         output = entry["output"]
@@ -708,56 +794,17 @@ def _batch_width(entries: list) -> int:
         except OSError:
             mode = stat.S_IFREG  # nothing there yet, or a target whose write fails as in order
         except ValueError:  # an embedded NUL
-            return 1
+            return False
         target = os.path.realpath(path)
         if not stat.S_ISREG(mode) or target in targets:
-            return 1
+            return False
         targets.add(target)
-    return min(len(os.sched_getaffinity(0)), len(entries))
+    return True
 
 
 def _show_as_text(message, category, filename, lineno, file=None, line=None) -> None:
     """A worker's ``warnings.showwarning``: the default text on the entry's captured stderr."""
     sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
-
-
-def _worker(kind: str, entries: list, args: argparse.Namespace, result: int, inherited) -> None:
-    """Run ``entries`` in a forked worker; pickle one ``(code, out, err)`` each to ``result``."""
-    status = EXIT_NUMERIC
-    try:
-        for fd in inherited:
-            os.close(fd)
-        warnings.showwarning = _show_as_text  # over any hook, whose records would stay here
-        records = []
-        for entry in entries:
-            sys.stdout, sys.stderr = out, err = io.StringIO(), io.StringIO()
-            records.append((run(kind, entry, args), out.getvalue(), err.getvalue()))
-        with open(result, "wb") as pipe:
-            pickle.dump(records, pipe, pickle.HIGHEST_PROTOCOL)
-        status = EXIT_OK
-    finally:
-        os._exit(status)  # never back into the caller's stack, its buffers or its atexit hooks
-
-
-def _start_worker(
-    kind: str, entries: list, args: argparse.Namespace, pipes: dict
-) -> Optional[int]:
-    """Fork a worker running ``entries``, entering its result pipe in ``pipes``; its pid or None."""
-    try:
-        result, write = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(result)
-        os.close(write)
-        return None
-    if pid == 0:
-        _worker(kind, entries, args, write, [result, *pipes.values()])
-    os.close(write)
-    pipes[pid] = result
-    return pid
 
 
 def _replay(code: int, out: str, err: str) -> int:
@@ -771,17 +818,17 @@ def _replay(code: int, out: str, err: str) -> int:
     return code
 
 
-def _replay_worker(data: bytes, returned: int, lo: int, hi: int) -> List[int]:
+def _replay_worker(returned: int, file: BinaryIO, lo: int, hi: int) -> List[int]:
     """Replay the records of the worker that ran entries ``lo`` to ``hi - 1``; their exit codes.
 
-    ``returned`` is the worker's exit code (minus the signal that killed it).
-    A worker that failed or sent a truncated record loses its entries: each
-    exits 3, under one message naming them.
+    ``returned`` is the worker's exit code (minus the signal that killed it),
+    and ``file`` holds its records. A worker that failed or wrote a truncated
+    record loses its entries: each exits 3, under one message naming them.
     """
     records = None
     if returned == 0:
         try:
-            records = pickle.loads(data)
+            records = pickle.load(file)
         except (pickle.UnpicklingError, EOFError):
             pass
     if records is None or len(records) != hi - lo:
@@ -799,44 +846,27 @@ def _replay_worker(data: bytes, returned: int, lo: int, hi: int) -> List[int]:
 def _run_batch(kind: str, entries: list, args: argparse.Namespace) -> int:
     """Run ``entries`` as the in-order loop would; the first non-zero exit code, else 0.
 
-    The entries are cut into one contiguous slice per CPU the process may use.
-    This process runs the first slice; each other slice runs in a forked
-    worker that captures every entry's stdout and stderr as text. An entry's
-    streams depend on that entry only, so this process writes the records in
-    entry order, and every file, each stream and the exit code are those of
-    the in-order run. A slice whose worker cannot be started runs here, in its turn.
+    The entries are cut by ``_slices`` unless their targets must be written in
+    order. A worker writes one ``(code, stdout, stderr)`` record per entry. An
+    entry's streams depend on that entry only, so this process writes the
+    records in entry order, and every file, each stream and the exit code are
+    those of the in-order run. A slice whose worker cannot start runs here.
     """
-    width = _batch_width(entries)
-    bounds = [len(entries) * i // width for i in range(width + 1)]
-    slices = [(None, 0, bounds[1])]  # (worker pid, lo, hi); pid None for a slice run here
-    pipes = {}  # pid -> read end of its result pipe (None once read), for each worker not reaped
-    sys.stdout.flush()  # nothing buffered is copied into a worker
-    sys.stderr.flush()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns on a fork while any thread runs, and counts the
-            # BLAS pool's idle native threads, which its fork handlers stop.
-            warnings.filterwarnings(
-                "ignore", "This process .* is multi-threaded", DeprecationWarning
-            )
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                slices.append((_start_worker(kind, entries[lo:hi], args, pipes), lo, hi))
-        codes = []
-        for pid, lo, hi in slices:
-            if pid is None:
-                codes += [run(kind, entry, args) for entry in entries[lo:hi]]
-                continue
-            with open(pipes[pid], "rb") as pipe:
-                pipes[pid] = None
-                data = pipe.read()
-            returned = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del pipes[pid]
-            codes += _replay_worker(data, returned, lo, hi)
-    finally:
-        for pid, result in pipes.items():  # left only by an exception
-            if result is not None:
-                os.close(result)
-            os.waitpid(pid, 0)
+
+    def run_slice(lo: int, hi: int, file: BinaryIO) -> None:
+        warnings.showwarning = _show_as_text  # over any hook, whose records would stay here
+        records = []
+        for entry in entries[lo:hi]:
+            sys.stdout, sys.stderr = out, err = io.StringIO(), io.StringIO()
+            records.append((run(kind, entry, args), out.getvalue(), err.getvalue()))
+        pickle.dump(records, file, pickle.HIGHEST_PROTOCOL)
+
+    codes = []
+    for lo, hi, worker in _slices(len(entries), run_slice, _distinct_targets(entries)):
+        if worker is None:
+            codes += [run(kind, entry, args) for entry in entries[lo:hi]]
+        else:
+            codes += _replay_worker(*worker, lo, hi)
     return next((code for code in codes if code), EXIT_OK)
 
 

@@ -196,19 +196,41 @@ def test_a_process_with_another_python_thread_runs_in_order(tmp_path):
 
 
 def _failing(code: int):
-    def fail():
+    def fail(*args):
         raise OSError(code, os.strerror(code))
 
     return fail
 
 
-@pytest.mark.parametrize("call, code", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)])
+@pytest.mark.parametrize("call, code", [("fork", errno.EAGAIN), ("memfd_create", errno.EMFILE)])
 def test_a_worker_that_cannot_start_leaves_its_slice_to_this_process(tmp_path, call, code):
     entries = [_correspondence(case, index) for index, case in enumerate(_CASES)]
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
     got = _run(tmp_path / "a", "correspondence", entries, cpus=2, patches=[(os, call, _failing(code))])
     assert got == _run(tmp_path / "b", "correspondence", entries, cpus=1)
+    _no_child_left()
+
+
+def test_a_batch_takes_every_cpu_once_and_formats_its_rows_in_place(tmp_path):
+    params = {"initial": [[1.0, 0.0], [0.0, 0.0]], "target": [[0.6, 0.0], [0.0, 0.8]],
+              "samples": 3000}
+    output = {"format": "csv"}
+    entries = [
+        {"parameters": dict(params, energy=energy), "output": dict(output, path=f"out{k}.csv")}
+        for k, energy in enumerate((1.0, 2.5))
+    ]
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    (tmp_path / "parallel").mkdir()
+    (tmp_path / "in-order").mkdir()
+    got = _run(tmp_path / "parallel", "evolve", entries, cpus=2, patches=[(os, "fork", counted)])
+    assert got == _run(tmp_path / "in-order", "evolve", entries, cpus=1)
+    assert got[0] == cli.EXIT_OK and len(forks) == 1
     _no_child_left()
 
 

@@ -1,8 +1,11 @@
 import copy
+import errno
 import functools
+import io
 import json
 import math
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -406,7 +409,7 @@ _SPECIAL_DOUBLES = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072009e-308, 1.79769
 @settings(max_examples=40, deadline=None)
 @given(
     shape=st.sampled_from(sorted(_ROW_SHAPES)),
-    rows=st.sampled_from([0, 1, cli._BLOCK, 3 * cli._BLOCK + 5]),
+    rows=st.sampled_from([0, 1, cli._BLOCK, cli._BLOCK + 1, 3 * cli._BLOCK + 5]),
     seed=st.integers(0, 2**32 - 1),
     drawn=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
     nested=st.booleans(),
@@ -422,8 +425,6 @@ def test_row_templates_are_bytewise_the_generic_rendering(shape, rows, seed, dra
 
     header = ",".join(f"c{k}" for k in range(width))
     lines = "".join(",".join(map(cli.format_float, row)) + "\n" for row in table.tolist())
-    assert cli.render_csv(header, table) == f"# version={cli.__version__}\n{header}\n{lines}"
-
     fields, start = {}, 0
     for key, d in dims.items():
         fields[key] = table[:, start : start + math.prod(d)].reshape(rows, *d)
@@ -433,7 +434,13 @@ def test_row_templates_are_bytewise_the_generic_rendering(shape, rows, seed, dra
     def document(body):
         return cli.render_json({"outer": {"rows": body}} if nested else {"rows": body})
 
-    assert document(cli.Rows(fields)) == document(generic)
+    for cpus in (1, 2, 3):  # a worker for each slice of whole blocks after the first
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            csv = cli.render_csv(header, table)
+            assert csv == f"# version={cli.__version__}\n{header}\n{lines}"
+            assert document(cli.Rows(fields)) == document(generic)
+    _no_child_left()
 
 
 def test_published_schema_is_the_packaged_one():
@@ -859,6 +866,97 @@ def test_overflowing_pancharatnam_intensities_are_a_config_error(tmp_path, capsy
     err = capsys.readouterr().err
     assert "'parameters/intensity_a'" in err and "'parameters/intensity_b'" in err
     assert not out.exists()
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _long_evolve(tmp_path):
+    """The argv, less the format and output, of an evolve run of three blocks and five rows."""
+    params = dict(EVOLVE_CONFIG["parameters"], samples=3 * cli._BLOCK + 5)
+    config = write_config(tmp_path, {"parameters": params})
+    return ["evolve", "--config", str(config), "--format"]
+
+
+def _first_call(fault, real):
+    """``real``, except that its first call is ``fault``'s."""
+    calls = []
+
+    def call(*args):
+        calls.append(args)
+        return (fault if len(calls) == 1 else real)(*args)
+
+    return call
+
+
+def _raising(code: int):
+    def fail(*args):
+        raise OSError(code, os.strerror(code))
+
+    return fail
+
+
+def _killed_child(fork=os.fork):
+    pid = fork()
+    if pid == 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return pid
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "call, fault",
+    [("fork", _raising(errno.EAGAIN)), ("memfd_create", _raising(errno.EMFILE)),
+     ("fork", _killed_child)],
+    ids=["fork-EAGAIN", "memfd_create-EMFILE", "killed"],
+)
+def test_a_row_worker_that_fails_leaves_its_slice_to_this_process(tmp_path, fmt, call, fault):
+    argv = _long_evolve(tmp_path) + [fmt, "--output"]
+    assert cli.main([*argv, str(tmp_path / "one-cpu")]) == cli.EXIT_OK
+    with pytest.MonkeyPatch.context() as patch:
+        # Three CPUs make two workers: the first fails, the second runs.
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        patch.setattr(os, call, _first_call(fault, getattr(os, call)))
+        assert cli.main([*argv, str(tmp_path / "three-cpus")]) == cli.EXIT_OK
+    assert (tmp_path / "three-cpus").read_bytes() == (tmp_path / "one-cpu").read_bytes()
+    _no_child_left()
+
+
+class _StdoutClosingPartway(io.StringIO):
+    """A stdout whose reader goes away after the first 1000 characters, as a closed pipe."""
+
+    def write(self, text):
+        if self.tell() + len(text) > 1000:
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        return super().write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "target, message",
+    [("/dev/full", "i/o error: cannot write output file '/dev/full': No space left on device\n"),
+     ("-", "i/o error: [Errno 32] Broken pipe\n")],
+    ids=["dev-full", "stdout"],
+)
+def test_a_write_failing_mid_document_reaps_every_row_worker(
+    tmp_path, capsys, fmt, target, message
+):
+    if target == "/dev/full" and not os.path.exists(target):
+        pytest.skip("no /dev/full")
+    descriptors = set(os.listdir("/proc/self/fd"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        patch.setattr(sys, "stdout", _StdoutClosingPartway())
+        code = cli.main(_long_evolve(tmp_path) + [fmt, "--output", target])
+    assert (code, capsys.readouterr().err) == (cli.EXIT_IO, message)
+    _no_child_left()
+    assert set(os.listdir("/proc/self/fd")) == descriptors
 
 
 def test_failed_render_leaves_the_earlier_file_and_no_temporary(tmp_path):
