@@ -6,16 +6,18 @@ alternating which side goes first. Usage, from anywhere:
     python3 benchmarks/pairs.py --parent ../parent --change . --workload scenario_batch \\
         --pairs 10 --output BENCH_<n>.json
 
-Each side's runs use its own ``perfbench/run.py`` and ``src``. The record holds,
-per workload and end-to-end metric, the median, q1, q3 and n of each side, the
-pairs the change won, every run's value and failed-item count, and each side's
-provenance as its perfbench results file gives it (git SHA and dirty flag,
-source digest, run length, Python and numpy versions). It is rewritten after
-every pair.
+Each side's runs use its own ``perfbench/run.py`` and ``src``. Beside the three
+end-to-end metrics, each run's ``cpu_s`` is the user and system time of the
+perfbench process and the children it reaped. The record holds, per workload and
+metric, the median, q1, q3 and n of each side, the pairs the change won, every
+run's value and failed-item count, and each side's provenance as its perfbench
+results file gives it (git SHA and dirty flag, source digest, run length, Python
+and numpy versions). It is rewritten after every pair.
 """
 
 import argparse
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -23,16 +25,26 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
-BETTER = {"setup_s": "lower", "items_per_s": "higher", "peak_rss_mb": "lower"}
+BETTER = {"setup_s": "lower", "items_per_s": "higher", "peak_rss_mb": "lower", "cpu_s": "lower"}
 PROVENANCE = ("git_sha", "git_dirty", "source_sha256", "python", "numpy", "cpu_model", "nproc")
 
 
+def cpu_seconds() -> float:
+    """User plus system time of this process's reaped children so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """The results file of one perfbench run in ``checkout``."""
+    """The results file of one perfbench run in ``checkout``, with the run's ``cpu_s`` metric."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    before = cpu_seconds()
     subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
+    cpu_s = cpu_seconds() - before
     path = checkout / ".perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
-    return json.loads(path.read_text(encoding="utf-8"))
+    result = json.loads(path.read_text(encoding="utf-8"))
+    result["metrics"]["cpu_s"] = cpu_s
+    return result
 
 
 def summary(values: list) -> dict:

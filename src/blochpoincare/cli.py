@@ -18,8 +18,10 @@ stderr, warnings included, are what it writes run alone, in entry order.
 Slices of the entries run in forked workers in the same way, each formatting
 its own tables in place, and this process writes their captured streams in
 entry order: every file, each stream and the exit code are those of the
-in-order run. ``taskset -c 0`` gives one CPU. A batch in which two entries
-name one target, or a target that is not a regular file, runs in order.
+in-order run. A slice whose worker fails (cannot start, is killed, or exits
+non-zero) runs in this process. ``taskset -c 0`` gives one CPU, and so does
+a SIGCHLD that is ignored. A batch in which two entries name one target, or
+a target that is not a regular file, runs in order.
 
 Exit codes, each with the prefix of its one stderr line: 0 success; 2 a
 config or schema violation, ``error:``; 3 a numerical gate failure,
@@ -41,6 +43,7 @@ import math
 import numbers
 import os
 import pickle
+import signal
 import stat
 import sys
 import threading
@@ -287,18 +290,20 @@ def _slices(units: int, task: Callable, fork: bool = True) -> Iterator[tuple]:
     """Cut ``range(units)`` into one contiguous slice per CPU the process may use, in order.
 
     A forked worker runs each slice but the first as ``task(lo, hi, file)``. Each
-    slice is yielded as ``(lo, hi, None)`` for this process to do (the first, and
-    any whose worker could not start), else as ``(lo, hi, (code, file))`` once its
-    worker has exited with ``code`` (minus its signal), ``file`` rewound. Every
-    worker is reaped, also when the consumer stops part-way. There is one slice
-    where ``fork`` is false, in a process with other Python threads (a lock one of
-    them holds would stay held in a worker), and within another call's slices.
+    slice is yielded as ``(lo, hi, file)``, ``file`` rewound, once its worker has
+    exited 0, else as ``(lo, hi, None)`` for this process to do: the first, and any
+    whose worker could not start, was killed or exited non-zero. Every worker is
+    reaped, also when the consumer stops part-way. There is one slice where
+    ``fork`` is false, in a process with other Python threads (a lock one of them
+    holds would stay held in a worker), where SIGCHLD is ignored (the kernel would
+    reap the workers), and within another call's slices.
     """
     global _forked
     width, held = 1, _forked
     if fork and units > 1 and not held and threading.active_count() == 1:
         if all(hasattr(os, name) for name in ("fork", "memfd_create", "sched_getaffinity")):
-            width = min(len(os.sched_getaffinity(0)), units)
+            if signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN:
+                width = min(len(os.sched_getaffinity(0)), units)
     bounds = [units * i // width for i in range(width + 1)]
     started = [(0, bounds[1], None)]  # (lo, hi, worker pid or None)
     workers = {}  # pid -> file, for each worker not yet reaped
@@ -311,13 +316,13 @@ def _slices(units: int, task: Callable, fork: bool = True) -> Iterator[tuple]:
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
                 started.append((lo, hi, _start_worker(task, lo, hi, workers)))
         for lo, hi, pid in started:
-            if pid is None:
-                yield lo, hi, None
-                continue
-            returned = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            with workers.pop(pid) as file:
-                file.seek(0)
-                yield lo, hi, (returned, file)
+            if pid is not None:
+                with workers.pop(pid) as file:
+                    if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0:
+                        file.seek(0)
+                        yield lo, hi, file
+                        continue
+            yield lo, hi, None
     finally:
         _forked = held
         for pid, file in workers.items():  # left only when the consumer stopped part-way
@@ -381,12 +386,11 @@ def _row_chunks(template: str, table: np.ndarray) -> Iterator[str]:
     def format_slice(lo: int, hi: int, file: BinaryIO) -> None:
         file.writelines(map(str.encode, blocks(lo, hi)))
 
-    for lo, hi, worker in _slices(math.ceil(len(table) / _BLOCK), format_slice):
-        if worker is None or worker[0]:  # the first slice, or one whose worker failed
+    for lo, hi, file in _slices(math.ceil(len(table) / _BLOCK), format_slice):
+        if file is None:
             yield from blocks(lo, hi)
         else:
-            chunks = iter(functools.partial(worker[1].read, 1 << 16), b"")
-            yield from codecs.iterdecode(chunks, "utf-8")
+            yield from codecs.iterdecode(iter(functools.partial(file.read, 1 << 16), b""), "utf-8")
 
 
 def _json_chunks(container, indent: int) -> Iterator[str]:
@@ -654,7 +658,8 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
         state_b = _as_state_array(params["state_b"])
         amp_a = _as_complex(params["amp_a"])
         modulus = float(params["amp_b_modulus"])
-        _gate_amplitudes({"amp_a": amp_a, "amp_b_modulus": modulus}, abs(amp_a), modulus)
+        amplitudes = {"amp_a": amp_a, "amp_b_modulus": modulus}
+        _gate_amplitudes(amplitudes, math.hypot(amp_a.real, amp_a.imag), modulus)
         phases = _grid_values(params["relative_phases"])
         amp_b = modulus * np.exp(1j * phases)
         with _naming("parameters/state_a", "parameters/state_b"):
@@ -748,12 +753,10 @@ def run(kind: str, config: dict, args: argparse.Namespace) -> int:
 
 
 # Exit code and stderr prefix by exception class, the first class that matches.
-# Every gate raises RuntimeError. A ChildProcessError is a lost batch worker;
-# any other OSError is a failed read or write.
+# Every gate raises RuntimeError; an OSError is a failed read or write.
 _EXIT_CLASSES = (
     (ConfigError, EXIT_SCHEMA, "error:"),
     (RuntimeError, EXIT_NUMERIC, "numerical gate failure:"),
-    (ChildProcessError, EXIT_NUMERIC, "unexpected error:"),
     (OSError, EXIT_IO, "i/o error:"),
 )
 
@@ -818,31 +821,6 @@ def _replay(code: int, out: str, err: str) -> int:
     return code
 
 
-def _replay_worker(returned: int, file: BinaryIO, lo: int, hi: int) -> List[int]:
-    """Replay the records of the worker that ran entries ``lo`` to ``hi - 1``; their exit codes.
-
-    ``returned`` is the worker's exit code (minus the signal that killed it),
-    and ``file`` holds its records. A worker that failed or wrote a truncated
-    record loses its entries: each exits 3, under one message naming them.
-    """
-    records = None
-    if returned == 0:
-        try:
-            records = pickle.load(file)
-        except (pickle.UnpicklingError, EOFError):
-            pass
-    if records is None or len(records) != hi - lo:
-        how = (
-            f"was killed by signal {-returned}" if returned < 0
-            else f"exited with status {returned}" if returned
-            else "returned a truncated record"
-        )
-        named = f"entry {lo}" if hi - lo == 1 else f"entries {lo} to {hi - 1}"
-        lost = ChildProcessError(f"the worker process running batch {named} {how}")
-        return [_fail(lost)] * (hi - lo)
-    return [_replay(*record) for record in records]
-
-
 def _run_batch(kind: str, entries: list, args: argparse.Namespace) -> int:
     """Run ``entries`` as the in-order loop would; the first non-zero exit code, else 0.
 
@@ -850,7 +828,9 @@ def _run_batch(kind: str, entries: list, args: argparse.Namespace) -> int:
     order. A worker writes one ``(code, stdout, stderr)`` record per entry. An
     entry's streams depend on that entry only, so this process writes the
     records in entry order, and every file, each stream and the exit code are
-    those of the in-order run. A slice whose worker cannot start runs here.
+    those of the in-order run. A slice whose worker failed runs here: each of
+    its targets is a distinct regular file, replaced whole, so a redo writes
+    the in-order bytes.
     """
 
     def run_slice(lo: int, hi: int, file: BinaryIO) -> None:
@@ -862,11 +842,11 @@ def _run_batch(kind: str, entries: list, args: argparse.Namespace) -> int:
         pickle.dump(records, file, pickle.HIGHEST_PROTOCOL)
 
     codes = []
-    for lo, hi, worker in _slices(len(entries), run_slice, _distinct_targets(entries)):
-        if worker is None:
+    for lo, hi, file in _slices(len(entries), run_slice, _distinct_targets(entries)):
+        if file is None:
             codes += [run(kind, entry, args) for entry in entries[lo:hi]]
         else:
-            codes += _replay_worker(*worker, lo, hi)
+            codes += [_replay(*record) for record in pickle.load(file)]
     return next((code for code in codes if code), EXIT_OK)
 
 

@@ -14,7 +14,6 @@ import errno
 import io
 import json
 import os
-import pickle
 import signal
 import subprocess
 import sys
@@ -242,34 +241,35 @@ def _dying(fault: str):
         if os.getpid() != parent and config["output"]["path"] == "die.json":
             if fault == "killed":
                 os.kill(os.getpid(), signal.SIGKILL)
-            raise SystemExit(7)  # escapes run(), as nothing an entry does can
+            raise SystemExit(7)  # escapes run(), as nothing an entry does can; the worker exits 3
         return run(kind, config, args)
 
     return run_or_die
 
 
-def _truncating_dump(obj, file, protocol=None):
-    file.write(pickle.dumps(obj, protocol)[:-3])
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("fault", ["killed", "exited"])
+def test_a_failed_worker_leaves_its_slice_to_this_process(tmp_path, fault, cpus):
+    # Entry 3 dies in a worker: first in its slice on two CPUs; on three, after
+    # entry 2 has written its file, and before a worker that runs on.
+    cases = ["valid", "bad-beam", "tight-gate", "valid", "stdout", "missing-directory", "stdout"]
+    entries = [_correspondence(case, index) for index, case in enumerate(cases)]
+    entries[3]["output"]["path"] = "die.json"
+    (tmp_path / "parallel").mkdir()
+    (tmp_path / "in-order").mkdir()
+    statuses, waitpid = [], os.waitpid
 
+    def recorded(pid, options):
+        reaped = waitpid(pid, options)
+        statuses.append(os.waitstatus_to_exitcode(reaped[1]))
+        return reaped
 
-_FAULTS = {
-    "killed": "was killed by signal 9",
-    "exited": "exited with status 3",
-    "truncated": "returned a truncated record",
-}
-
-
-@pytest.mark.parametrize("fault", sorted(_FAULTS))
-def test_a_lost_worker_exits_3_naming_its_entries(tmp_path, fault):
-    patch = (pickle, "dump", _truncating_dump) if fault == "truncated" else (cli, "run", _dying(fault))
-    entries = [_optimize(0), _optimize(1), _optimize(2, path="die.json"), _optimize(3, path="-")]
-    code, out, err, files = _run(tmp_path, "optimize-coherence", entries, cpus=2, patches=[patch])
-    assert code == cli.EXIT_NUMERIC
-    assert err == (
-        f"unexpected error: the worker process running batch entries 2 to 3 {_FAULTS[fault]}\n"
-    )
-    assert out == ""  # entry 3's stdout document was in the lost record
-    assert {"out0.json", "out1.json"} <= set(files)
+    patches = [(cli, "run", _dying(fault)), (os, "waitpid", recorded)]
+    got = _run(tmp_path / "parallel", "correspondence", entries, cpus=cpus, patches=patches)
+    assert got == _run(tmp_path / "in-order", "correspondence", entries, cpus=1)
+    died = {"killed": -signal.SIGKILL, "exited": cli.EXIT_NUMERIC}[fault]
+    assert statuses == [died] + [0] * (cpus - 2)
+    assert got[0] == cli.EXIT_SCHEMA and "die.json" in got[3]
     _no_child_left()
 
 

@@ -898,19 +898,25 @@ def _raising(code: int):
     return fail
 
 
-def _killed_child(fork=os.fork):
-    pid = fork()
-    if pid == 0:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return pid
+def _failing_child(end):
+    """An ``os.fork`` whose child calls ``end`` at once."""
+
+    def fork(fork=os.fork):
+        pid = fork()
+        if pid == 0:
+            end()
+        return pid
+
+    return fork
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "call, fault",
     [("fork", _raising(errno.EAGAIN)), ("memfd_create", _raising(errno.EMFILE)),
-     ("fork", _killed_child)],
-    ids=["fork-EAGAIN", "memfd_create-EMFILE", "killed"],
+     ("fork", _failing_child(lambda: os.kill(os.getpid(), signal.SIGKILL))),
+     ("fork", _failing_child(lambda: os._exit(cli.EXIT_NUMERIC)))],
+    ids=["fork-EAGAIN", "memfd_create-EMFILE", "killed", "exited"],
 )
 def test_a_row_worker_that_fails_leaves_its_slice_to_this_process(tmp_path, fmt, call, fault):
     argv = _long_evolve(tmp_path) + [fmt, "--output"]
@@ -922,6 +928,39 @@ def test_a_row_worker_that_fails_leaves_its_slice_to_this_process(tmp_path, fmt,
         assert cli.main([*argv, str(tmp_path / "three-cpus")]) == cli.EXIT_OK
     assert (tmp_path / "three-cpus").read_bytes() == (tmp_path / "one-cpu").read_bytes()
     _no_child_left()
+
+
+def _ignoring_sigchld():
+    signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+
+
+# The CLI on three reported CPUs, so that it would fork on any machine.
+_ON_THREE_CPUS = (
+    "import os, sys; os.sched_getaffinity = lambda pid: {0, 1, 2}; "
+    "from blochpoincare.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["table", "batch"])
+def test_a_run_with_sigchld_ignored_runs_on_one_cpu(tmp_path, batch):
+    # An ignored SIGCHLD survives exec, and the kernel then reaps every child itself.
+    if batch:
+        outputs = ["out0.json", "out1.json"]
+        entries = [dict(OPTIMIZE_CONFIG, output={"path": path}) for path in outputs]
+        argv = ["optimize-coherence", "--config", str(write_config(tmp_path, entries))]
+    else:
+        outputs = ["trajectory.csv"]
+        argv = _long_evolve(tmp_path) + ["csv", "--output", outputs[0]]
+    default, ignored = tmp_path / "default", tmp_path / "ignored"
+    default.mkdir()
+    ignored.mkdir()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(default)
+        assert cli.main(argv) == cli.EXIT_OK
+    done = _cli_process("-c", _ON_THREE_CPUS, *argv, cwd=ignored, preexec_fn=_ignoring_sigchld)
+    assert (done.returncode, done.stdout, done.stderr) == (cli.EXIT_OK, "", "")
+    for name in outputs:
+        assert (ignored / name).read_bytes() == (default / name).read_bytes()
 
 
 class _StdoutClosingPartway(io.StringIO):
@@ -1298,6 +1337,15 @@ _REPROS = {
     "t-min-um": ("evolve", _EVOLVE_UM, _ENERGY, "1e-310", [], _TIME),
     "t-min-correspondence": ("correspondence", _CORRESPONDENCE, _ENERGY, "1e-310", [], _TIME),
     "t-min-hbar-flag": ("evolve", _EVOLVE, _ENERGY, "1e-10", ["--hbar", "1e300"], _TIME),
+    # |amp_a| overflows, though each of its parts is finite.
+    "amp-a-modulus": (
+        "interference",
+        {"parameters": INTERFERENCE_SWEEPS["quantum"]},
+        "parameters/amp_a",
+        "[1.7e308, 1.7e308]",
+        [],
+        "config fields 'parameters/amp_a' and 'parameters/amp_b_modulus'",
+    ),
     "circular-beam": (
         "correspondence",
         _CORRESPONDENCE,
@@ -1328,12 +1376,15 @@ def test_out_of_range_values_are_config_errors_naming_their_field(
     assert not (tmp_path / "out.json").exists()
 
 
-def _cli_process(*args, python_flags=()):
-    """A Python subprocess with the package under test importable; ``args`` follow ``-c``/``-m``."""
+def _cli_process(*args, python_flags=(), **options):
+    """A Python subprocess with the package under test importable; ``args`` follow ``-c``/``-m``.
+
+    ``options`` go to ``subprocess.run``.
+    """
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     argv = [sys.executable, *python_flags, *args]
-    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120, **options)
 
 
 def test_overflowing_coherency_is_a_config_error_with_warnings_as_errors(tmp_path):

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochpoincare.coherence import (
     OpticalScenario,
@@ -122,6 +124,26 @@ def test_optimal_rotation_attains_the_grid_maximum():
         offset = (best - solution.phi_opt) % (np.pi / 2.0)
         assert min(offset, np.pi / 2.0 - offset) < 2e-4
         assert abs(solution.j_after - solution.p) < 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.5, 2.0),
+    st.floats(1e-3, 1.0),
+    st.floats(0.0, np.pi),
+    st.floats(0.0, 2.0 * np.pi),
+)
+def test_optimal_rotation_reaches_the_eigenvalue_degree_of_polarization(intensity, p, theta, phi):
+    # A unit-scale beam of intensity S0 and degree P, its Stokes vector along (theta, phi).
+    s1, s2, s3 = intensity * p * np.array(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+    )
+    j = 0.5 * np.array([[intensity + s1, s2 - 1j * s3], [s2 + 1j * s3, intensity - s1]])
+    low, high = np.linalg.eigvalsh(j)
+    oracle = (high - low) / (high + low)
+    solution = optimal_rotation(j)
+    assert solution.p == pytest.approx(oracle, rel=1e-9)
+    assert solution.j_after == pytest.approx(oracle, rel=1e-9)
 
 
 def test_optimal_rotation_rejects_unpolarized():
