@@ -6,17 +6,22 @@ alternating which side goes first. Usage, from anywhere:
     python3 benchmarks/pairs.py --parent ../parent --change . --workload scenario_batch \\
         --pairs 10 --output BENCH_<n>.json
 
-Each side's runs use its own ``perfbench/run.py`` and ``src``. Beside the three
-end-to-end metrics, each run's ``cpu_s`` is the user and system time of the
-perfbench process and the children it reaped. The record holds, per workload and
-metric, the median, q1, q3 and n of each side, the pairs the change won, every
-run's value and failed-item count, and each side's provenance as its perfbench
-results file gives it (git SHA and dirty flag, source digest, run length, Python
-and numpy versions). It is rewritten after every pair.
+Each side's runs use its own ``perfbench/run.py`` and ``src``. With
+``--pin CPU`` both sides of every pair run on that one CPU
+(``os.sched_setaffinity``, which every child inherits), so a CLI process forks
+no workers; the record's ``pin`` names the CPU, or is null for a run on every
+CPU the process may use. Beside the three end-to-end metrics, each run's
+``cpu_s`` is the user and system time of the perfbench process and the
+children it reaped. The record holds, per workload and metric, the median, q1,
+q3 and n of each side, the pairs the change won, every run's value and
+failed-item count, and each side's provenance as its perfbench results file
+gives it (git SHA and dirty flag, source digest, run length, Python and numpy
+versions). It is rewritten after every pair.
 """
 
 import argparse
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -79,10 +84,13 @@ def main() -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--pin", type=int, metavar="CPU", help="run both sides on this one CPU")
     parser.add_argument("--output", type=Path, required=True)
     args = parser.parse_args()
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    record = {"seed": args.seed, "provenance": {}, "workloads": {}}
+    if args.pin is not None:
+        os.sched_setaffinity(0, {args.pin})
+    record = {"seed": args.seed, "pin": args.pin, "provenance": {}, "workloads": {}}
     for workload in args.workload:
         entry = record["workloads"][workload] = {"runs": {side: [] for side in SIDES}}
         for i in range(args.pairs):

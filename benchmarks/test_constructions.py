@@ -10,7 +10,12 @@ CPUs the process may use and on one CPU (layer 4). The validation cases time
 a valid config, which the built-in schema checker passes, and an invalid
 one, which jsonschema words. One case times ``import blochpoincare.cli`` in
 fresh interpreters and records the median ``-X importtime`` cumulative time
-in its ``extra_info`` (written by ``--benchmark-json``). The batch cases
+in its ``extra_info`` (written by ``--benchmark-json``). Another times fresh
+``python -m blochpoincare.cli`` processes (``--version`` and one small config
+each of ``evolve``, ``interference`` and ``mueller``) twice: compiling the
+package from source with ``PYTHONDONTWRITEBYTECODE=1``, as perfbench's
+children do, and from a warm ``PYTHONPYCACHEPREFIX``, as an installed package
+runs; it records each median wall time in its ``extra_info``. The batch cases
 time the scenario runners (layer 3): perfbench's seed-0 ``scenario_batch``
 batch of 600 ``optimize-coherence`` scenarios through ``cli.main``
 in-process, on the CPUs the process may use and on one CPU. The render and
@@ -29,6 +34,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +146,66 @@ def test_import_cli_in_a_new_process(benchmark):
     cumulative = []
     benchmark.pedantic(lambda: cumulative.append(_import_cumulative_us()), rounds=11)
     benchmark.extra_info["importtime_cumulative_us_median"] = statistics.median(cumulative)
+
+
+_CLI_CONFIGS = {
+    "evolve": {
+        "parameters": {
+            "initial": [[1.0, 0.0], [0.0, 0.0]],
+            "target": [[HALF, 0.0], [HALF, 0.0]],
+            "energy": 1.0,
+            "samples": 101,
+        }
+    },
+    "interference": {
+        "parameters": {
+            "law": "pancharatnam",
+            "intensity_a": 1.0,
+            "intensity_b": 0.5,
+            "sphere_angles": {"start": 0.0, "stop": 3.0, "count": 20},
+            "phase_advances": {"start": 0.0, "stop": 6.0, "count": 20},
+        }
+    },
+    "mueller": {"parameters": {"jones": [[[0.3, 0.0], [-0.2, 0.7]], [[0.0, 0.1], [0.9, -0.4]]]}},
+}
+
+
+def _cli_seconds(argv: list, env: dict, cwd: Path) -> float:
+    """Wall time of one ``python -m blochpoincare.cli`` process, spawn to exit."""
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "blochpoincare.cli", *argv], cwd=cwd, env=env,
+                   capture_output=True, check=True)
+    return time.perf_counter() - t0
+
+
+def test_cli_processes_from_source_and_from_cached_bytecode(benchmark, tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    envs = {
+        "source": dict(base, PYTHONDONTWRITEBYTECODE="1"),
+        "cached": dict(base, PYTHONPYCACHEPREFIX=str(tmp_path / "pycache")),
+    }
+    argvs = {"version": ["--version"]}
+    for kind, config in _CLI_CONFIGS.items():
+        (tmp_path / f"{kind}.json").write_text(json.dumps(config), encoding="utf-8")
+        argvs[kind] = [kind, "--config", f"{kind}.json", "--output", f"{kind}.out"]
+    for argv in argvs.values():  # fills the cache with every module a kind imports
+        _cli_seconds(argv, envs["cached"], tmp_path)
+    walls = {(name, mode): [] for name in argvs for mode in envs}
+
+    def one_round():  # each mode goes first in every other round
+        modes = list(envs)[:: -1 if len(walls["version", "source"]) % 2 else 1]
+        for name, argv in argvs.items():
+            for mode in modes:
+                walls[name, mode].append(_cli_seconds(argv, envs[mode], tmp_path))
+
+    benchmark.pedantic(one_round, rounds=7)
+    for (name, mode), values in walls.items():
+        benchmark.extra_info[f"{name}_{mode}_s_median"] = statistics.median(values)
+    # A __pycache__ beside the sources would be read in place of compiling them.
+    benchmark.extra_info["package_pycache"] = (Path(src) / "blochpoincare" / "__pycache__").is_dir()
 
 
 def test_efficiency_101_samples(benchmark):

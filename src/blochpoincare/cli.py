@@ -6,8 +6,11 @@ JSON schemas of the packaged ``scenario-config.schema.json``, the one file
 published at ``schemas/``, before any computation. A built-in checker of the
 schema keywords that file uses passes a valid config; only a config it
 rejects goes to jsonschema, imported then, which words the first error.
-Outputs are byte-deterministic for identical configs (sorted keys, fixed
-float formatting, no timestamps). Every successful run re-validates the
+A run imports only its kind's physics modules: the optical ones (coherence,
+polarization, mueller, interference) are imported by the runners that call
+them, so ``--version`` and ``evolve`` load none of them. Outputs are
+byte-deterministic for identical configs (sorted keys, fixed float
+formatting, no timestamps). Every successful run re-validates the
 library invariants on its own outputs before writing. A table longer than
 1024 rows is formatted on every CPU the process may use: contiguous slices
 of its rows go to forked worker processes, and this process writes their
@@ -36,7 +39,6 @@ import argparse
 import codecs
 import contextlib
 import functools
-import importlib.resources
 import io
 import json
 import math
@@ -56,29 +58,7 @@ import numpy as np
 
 from . import __version__
 from .bloch import bloch_vectors, fidelities, fidelity
-from .coherence import (
-    OpticalScenario,
-    QuantumScenario,
-    correspondence_report,
-    optimal_rotation,
-    stokes_rotation_check,
-)
-from .interference import (
-    classical_intensity,
-    fringe_visibility,
-    pancharatnam_intensity,
-    quantum_probability,
-)
-from .mueller import (
-    _DEFAULT_PROBE_SEED,
-    classify_mueller,
-    is_unitary,
-    mueller_from_jones,
-    mueller_rotator,
-    wigner_rotation,
-)
 from .numerics import _squares, gate
-from .polarization import rotate_coherency, stokes_from_coherency
 from .speed_limit import (
     Route,
     UnrepresentableTimeError,
@@ -143,7 +123,7 @@ _ANGLE_FIELDS = {
 @functools.cache
 def _kind_schemas() -> dict:
     """The per-kind scenario schemas of the packaged schema file, read once."""
-    schema = importlib.resources.files(__package__).joinpath("scenario-config.schema.json")
+    schema = Path(__file__).with_name("scenario-config.schema.json")
     return json.loads(schema.read_text(encoding="utf-8"))["kinds"]
 
 
@@ -534,6 +514,8 @@ def _quantum_side(params: dict, hbar: float):
 
 def _optical_side(params: dict):
     """``(j, solution)``: the config's coherency matrix and its optimal frame."""
+    from .coherence import optimal_rotation
+
     j = _as_matrix(params["coherency"])
     with _naming("parameters/coherency"):
         return j, optimal_rotation(j)
@@ -568,6 +550,9 @@ def _run_evolve(config: dict, fmt: str, out_path: str, hbar: float) -> None:
 
 
 def _run_optimize(config: dict, fmt: str, out_path: str) -> None:
+    from .coherence import stokes_rotation_check
+    from .polarization import rotate_coherency, stokes_from_coherency
+
     j, solution = _optical_side(config["parameters"])
     ledger = stokes_rotation_check(stokes_from_coherency(j), solution.phi_opt)
 
@@ -587,7 +572,17 @@ def _run_optimize(config: dict, fmt: str, out_path: str) -> None:
     )
 
 
-def _run_mueller(config: dict, fmt: str, out_path: str, seed: int) -> None:
+def _run_mueller(config: dict, fmt: str, out_path: str, seed: Optional[int]) -> None:
+    from .mueller import (
+        _DEFAULT_PROBE_SEED,
+        classify_mueller,
+        is_unitary,
+        mueller_from_jones,
+        mueller_rotator,
+        wigner_rotation,
+    )
+
+    seed = _DEFAULT_PROBE_SEED if seed is None else seed
     params = config["parameters"]
     jones = _as_matrix(params["jones"])
     with _naming("parameters/jones"):
@@ -629,6 +624,13 @@ def _gate_amplitudes(fields: dict, x: float, y: float) -> None:
 
 
 def _run_interference(config: dict, fmt: str, out_path: str) -> None:
+    from .interference import (
+        classical_intensity,
+        fringe_visibility,
+        pancharatnam_intensity,
+        quantum_probability,
+    )
+
     params = config["parameters"]
     law = params["law"]
     if law == "classical":
@@ -682,6 +684,8 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
 
 
 def _run_correspondence(config: dict, fmt: str, out_path: str, hbar: float) -> None:
+    from .coherence import OpticalScenario, QuantumScenario, correspondence_report
+
     params = config["parameters"]
     # The beam first: a config with both a bad beam and a bad energy names the beam.
     j, solution = _optical_side(params)
@@ -917,7 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--seed",
                 type=_probe_seed,
-                default=_DEFAULT_PROBE_SEED,
                 help="seed for classification probes",
             )
     return parser
