@@ -14,9 +14,11 @@ CPU the process may use. Beside the three end-to-end metrics, each run's
 ``cpu_s`` is the user and system time of the perfbench process and the
 children it reaped. The record holds, per workload and metric, the median, q1,
 q3 and n of each side, the pairs the change won, every run's value and
-failed-item count, and each side's provenance as its perfbench results file
-gives it (git SHA and dirty flag, source digest, run length, Python and numpy
-versions). It is rewritten after every pair.
+failed-item count, the median change/parent ratio over pairs with its 95 %
+bootstrap interval (2 000 resamples of the pairs, ``np.random.default_rng(0)``),
+and each side's provenance as its perfbench results file gives it (git SHA and
+dirty flag, source digest, run length, Python and numpy versions). It is
+rewritten after every pair.
 """
 
 import argparse
@@ -62,18 +64,27 @@ def wins(parent: list, change: list, better: str) -> int:
     return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
 
 
+def ratio(parent: list, change: list) -> dict:
+    """The median change/parent ratio over pairs and its 95 % bootstrap interval."""
+    ratios = np.asarray(change) / np.asarray(parent)
+    resamples = np.random.default_rng(0).choice(ratios, size=(2000, len(ratios)))
+    low, high = np.percentile(np.median(resamples, axis=1), [2.5, 97.5])
+    return {"median": float(np.median(ratios)), "low": float(low), "high": float(high)}
+
+
 def write(path: Path, record: dict) -> None:
     for entry in record["workloads"].values():
         runs = entry["runs"]
-        entry["metrics"] = {
-            name: {
+        entry["metrics"] = {}
+        for name, better in BETTER.items():
+            parent, change = ([r["metrics"][name] for r in runs[side]] for side in SIDES)
+            entry["metrics"][name] = {
                 "better": better,
-                **{side: summary([r["metrics"][name] for r in runs[side]]) for side in SIDES},
-                "change_wins": wins(*([r["metrics"][name] for r in runs[side]] for side in SIDES),
-                                    better),
+                "parent": summary(parent),
+                "change": summary(change),
+                "change_wins": wins(parent, change, better),
+                "ratio": ratio(parent, change),
             }
-            for name, better in BETTER.items()
-        }
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 
 

@@ -7,8 +7,8 @@ beam and a synthesized trajectory; the classical sweep is the interference
 runner's two law calls on a 120 x 120 grid. The render cases write a sweep's
 computed columns to a file as the evolve and interference runners do, on the
 CPUs the process may use and on one CPU (layer 4). The validation cases time
-a valid config, which the built-in schema checker passes, and an invalid
-one, which jsonschema words. One case times ``import blochpoincare.cli`` in
+the built-in schema checker on a valid config and on an invalid one, whose
+first error it words. One case times ``import blochpoincare.cli`` in
 fresh interpreters and records the median ``-X importtime`` cumulative time
 in its ``extra_info`` (written by ``--benchmark-json``). Another times fresh
 ``python -m blochpoincare.cli`` processes (``--version`` and one small config

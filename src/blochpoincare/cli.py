@@ -3,9 +3,8 @@
 One subcommand per scenario kind (evolve, optimize-coherence, mueller,
 interference, correspondence). Configs are validated against the per-kind
 JSON schemas of the packaged ``scenario-config.schema.json``, the one file
-published at ``schemas/``, before any computation. A built-in checker of the
-schema keywords that file uses passes a valid config; only a config it
-rejects goes to jsonschema, imported then, which words the first error.
+published at ``schemas/``, before any computation, by a built-in checker of
+the keywords that file uses, which words the first error as jsonschema does.
 A run imports only its kind's physics modules: the optical ones (coherence,
 polarization, mueller, interference) are imported by the runners that call
 them, so ``--version`` and ``evolve`` load none of them. Outputs are
@@ -127,16 +126,6 @@ def _kind_schemas() -> dict:
     return json.loads(schema.read_text(encoding="utf-8"))["kinds"]
 
 
-def __getattr__(name: str):
-    """``Draft202012Validator``, from jsonschema imported on first use (PEP 562)."""
-    if name != "Draft202012Validator":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from jsonschema import Draft202012Validator
-
-    globals()[name] = Draft202012Validator
-    return Draft202012Validator
-
-
 def _is_number(value) -> bool:
     return isinstance(value, numbers.Number) and not isinstance(value, bool)
 
@@ -150,54 +139,79 @@ _TYPES = {
     and (isinstance(v, int) or isinstance(v, float) and v.is_integer()),
 }
 
-# The schema keywords of the packaged file as JSON Schema 2020-12 reads them,
-# each a test of (value, keyword argument, whole schema). A keyword holds on
-# the values of the types it does not apply to. ``const`` and ``enum`` compare
-# as jsonschema does for the strings the file holds.
-_KEYWORDS = {
-    "type": lambda v, t, s: _TYPES[t](v),
-    "const": lambda v, c, s: v == c,
-    "enum": lambda v, e, s: v in e,
-    "minimum": lambda v, m, s: not (_is_number(v) and v < m),
-    "exclusiveMinimum": lambda v, m, s: not (_is_number(v) and v <= m),
-    "minItems": lambda v, n, s: not isinstance(v, list) or len(v) >= n,
-    "maxItems": lambda v, n, s: not isinstance(v, list) or len(v) <= n,
-    "items": lambda v, i, s: not isinstance(v, list) or all(_conforms(x, i) for x in v),
-    "required": lambda v, r, s: not isinstance(v, dict) or all(k in v for k in r),
-    "properties": lambda v, p, s: not isinstance(v, dict)
-    or all(_conforms(v[k], sub) for k, sub in p.items() if k in v),
-    "additionalProperties": lambda v, a, s: not isinstance(v, dict)
-    or all(_conforms(v[k], a) for k in v if k not in s.get("properties", {})),
-    "oneOf": lambda v, o, s: sum(_conforms(v, sub) for sub in o) == 1,
-}
 
+class Draft202012Validator:
+    """JSON Schema 2020-12 for the keywords of the packaged file; KeyError for any other.
 
-def _conforms(value, schema) -> bool:
-    """Whether ``value`` is valid under ``schema``; KeyError for a keyword not in _KEYWORDS."""
-    if isinstance(schema, bool):
-        return schema
-    if not schema.keys() <= _KEYWORDS.keys():
-        raise KeyError(sorted(schema.keys() - _KEYWORDS.keys()))
-    return all(_KEYWORDS[key](value, arg, schema) for key, arg in schema.items())
+    ``iter_errors`` yields each violation as ``(path, keyword, message)`` in the
+    order and wording of jsonschema 4.26. A keyword holds on the values of the
+    types it does not apply to; ``const`` and ``enum`` compare strings.
+    """
+
+    def __init__(self, schema: dict):
+        self.schema = schema
+
+    def iter_errors(self, instance) -> Iterator[tuple]:
+        return self._errors(instance, self.schema, ())
+
+    def _errors(self, value, schema: dict, path: tuple) -> Iterator[tuple]:
+        array, obj = isinstance(value, list), isinstance(value, dict)
+        for key, arg in schema.items():
+            message = None
+            if key == "type":
+                message = None if _TYPES[arg](value) else f"{value!r} is not of type {arg!r}"
+            elif key == "const":
+                message = None if value == arg else f"{arg!r} was expected"
+            elif key == "enum":
+                message = None if value in arg else f"{value!r} is not one of {arg!r}"
+            elif key == "minimum":
+                if _is_number(value) and value < arg:
+                    message = f"{value!r} is less than the minimum of {arg!r}"
+            elif key == "exclusiveMinimum":
+                if _is_number(value) and value <= arg:
+                    message = f"{value!r} is less than or equal to the minimum of {arg!r}"
+            elif key == "minItems":
+                if array and len(value) < arg:
+                    message = f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+            elif key == "maxItems":
+                if array and len(value) > arg:
+                    too = "is expected to be empty" if arg == 0 else "is too long"
+                    message = f"{value!r} {too}"
+            elif key == "items":
+                for index, item in enumerate(value if array else ()):
+                    yield from self._errors(item, arg, path + (index,))
+            elif key == "required":
+                for name in [name for name in arg if name not in value] if obj else ():
+                    yield path, key, f"{name!r} is a required property"
+            elif key == "properties":
+                for name in [name for name in arg if name in value] if obj else ():
+                    yield from self._errors(value[name], arg[name], path + (name,))
+            elif key == "additionalProperties" and arg is False:
+                extras = sorted(set(value if obj else ()) - schema.get("properties", {}).keys())
+                if extras:
+                    listed = f"{repr(extras)[1:-1]} {'was' if len(extras) == 1 else 'were'}"
+                    message = f"Additional properties are not allowed ({listed} unexpected)"
+            elif key == "oneOf":
+                valid = [sub for sub in arg if next(self._errors(value, sub, path), None) is None]
+                if not valid:
+                    message = f"{value!r} is not valid under any of the given schemas"
+                elif len(valid) > 1:
+                    valid.append(valid.pop(0))  # those after the first valid one, then it
+                    message = f"{value!r} is valid under each of {repr(valid)[1:-1]}"
+            else:
+                raise KeyError(key)
+            if message is not None:
+                yield path, key, message
 
 
 def _validate_config(kind: str, config: dict) -> None:
-    schema = _kind_schemas()[kind]
-    try:
-        if _conforms(config, schema):
-            return
-    except (LookupError, TypeError, ValueError):
-        pass  # a keyword the checker lacks, or a non-JSON value that will not compare
-    # Through the module attribute: imports jsonschema on first use, honours a rebound class.
-    validator = sys.modules[__name__].Draft202012Validator(schema)
-    errors = sorted(
-        validator.iter_errors(config),
-        key=lambda e: (list(e.absolute_path), e.validator not in _FIRST_KEYWORDS),
-    )
-    if errors:
-        first = errors[0]
-        where = "/".join(str(p) for p in first.absolute_path) or "<root>"
-        raise ConfigError(first.message, where)
+    errors = Draft202012Validator(_kind_schemas()[kind]).iter_errors(config)
+    try:  # the first error in path order, a wrong type or a missing field first at one path
+        first = min(errors, key=lambda e: (e[0], e[1] not in _FIRST_KEYWORDS), default=None)
+    except RecursionError as exc:  # nested too deep to walk or to word
+        raise ConfigError(f"config is nested too deep to check: {exc}") from exc
+    if first is not None:
+        raise ConfigError(first[2], "/".join(map(str, first[0])) or "<root>")
 
 
 def _as_complex(value) -> complex:

@@ -1451,14 +1451,31 @@ def _mutated_configs(draw):
     return kind, config
 
 
+def _jsonschema_config_error(schema, config):
+    """The ConfigError text of jsonschema's first error under the CLI's sort, or None."""
+    from jsonschema import Draft202012Validator
+
+    errors = sorted(
+        Draft202012Validator(schema).iter_errors(config),
+        key=lambda e: (list(e.absolute_path), e.validator not in cli._FIRST_KEYWORDS),
+    )
+    if not errors:
+        return None
+    where = "/".join(str(p) for p in errors[0].absolute_path) or "<root>"
+    return str(cli.ConfigError(errors[0].message, where))
+
+
 @settings(max_examples=500, deadline=None)
 @given(_mutated_configs())
 def test_config_checker_agrees_with_jsonschema(case):
-    from jsonschema import Draft202012Validator
-
     kind, config = case
-    schema = cli._kind_schemas()[kind]
-    assert cli._conforms(config, schema) == Draft202012Validator(schema).is_valid(config)
+    expected = _jsonschema_config_error(cli._kind_schemas()[kind], config)
+    try:
+        cli._validate_config(kind, config)
+    except cli.ConfigError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
 
 
 # 1, 1.0 and 10**400 match both alternatives, -0.5 and "" neither, 2.5 and -1 exactly one.
@@ -1470,8 +1487,9 @@ _OVERLAPPING = {"oneOf": [{"type": "number", "minimum": 0}, {"type": "integer"}]
 def test_config_checker_counts_oneof_matches_as_jsonschema_does(value):
     from jsonschema import Draft202012Validator
 
-    expected = Draft202012Validator(_OVERLAPPING).is_valid(value)
-    assert cli._conforms(value, _OVERLAPPING) == expected
+    expected = [e.message for e in Draft202012Validator(_OVERLAPPING).iter_errors(value)]
+    errors = cli.Draft202012Validator(_OVERLAPPING).iter_errors(value)
+    assert [message for _, _, message in errors] == expected
 
 
 def _subschemas(schema):
@@ -1484,11 +1502,14 @@ def _subschemas(schema):
 
 
 def test_config_checker_reads_every_keyword_of_the_packaged_schema():
-    # A keyword the checker lacks would send every config to jsonschema; a
-    # non-string const or enum would need jsonschema's bool-aware equality.
+    # A keyword the checker lacks raises KeyError, an exit 3, on every config of
+    # its kind; a non-string const or enum would need jsonschema's bool-aware
+    # equality. The checker reads each keyword of a schema on any value.
     for schema in cli._kind_schemas().values():
         for node in _subschemas(schema):
-            assert node.keys() <= cli._KEYWORDS.keys()
+            list(cli.Draft202012Validator(node).iter_errors(None))
+            nested = [*node.get("properties", {}).values(), *node.get("oneOf", [])]
+            assert all(isinstance(sub, dict) for sub in [*nested, node.get("items", {})])
             assert node.get("type", "object") in cli._TYPES
             assert all(isinstance(c, str) for c in [node.get("const", ""), *node.get("enum", [])])
 
@@ -1500,8 +1521,7 @@ runs = json.loads(sys.argv[1])
 codes = [cli.main(argv) for argv in runs["valid"]]
 imported = "jsonschema" in sys.modules
 invalid = cli.main(runs["invalid"])
-from jsonschema import Draft202012Validator
-print(json.dumps([codes, imported, invalid, cli.Draft202012Validator is Draft202012Validator]))
+print(json.dumps([codes, imported, invalid, "jsonschema" in sys.modules]))
 """
 
 
@@ -1514,7 +1534,24 @@ def test_valid_configs_run_without_importing_jsonschema(tmp_path):
     bad = {"parameters": dict(EVOLVE_CONFIG["parameters"], samples=1.5)}
     runs["invalid"] = ["evolve", "--config", str(write_config(tmp_path, bad)), "--output", "-"]
     done = _cli_process("-c", _IMPORT_PATH, json.dumps(runs))
-    codes, imported, invalid, same_class = json.loads(done.stdout.splitlines()[-1])
+    codes, imported, invalid, imported_by_invalid = json.loads(done.stdout.splitlines()[-1])
     assert codes == [cli.EXIT_OK] * len(_VALID_CONFIGS) and not imported
-    assert (invalid, same_class) == (cli.EXIT_SCHEMA, True)
+    assert (invalid, imported_by_invalid) == (cli.EXIT_SCHEMA, False)
+    assert cli.Draft202012Validator.__module__ == cli.__name__
     assert done.stderr == "error: config field 'parameters/samples': 1.5 is not of type 'integer'\n"
+
+
+@pytest.mark.parametrize(
+    "kind, field", [("evolve", "initial"), ("optimize-coherence", "coherency")]
+)
+def test_config_nested_too_deep_to_check_is_a_config_error(tmp_path, capsys, kind, field):
+    # Near the recursion limit a config parses, but its error cannot be worded:
+    # every depth exits 2, whether parsing, checking or wording runs out of stack.
+    params = {"evolve": EVOLVE_CONFIG, "optimize-coherence": OPTIMIZE_CONFIG}[kind]["parameters"]
+    text = json.dumps({"parameters": dict(params, **{field: "NESTED"})})
+    path = tmp_path / "config.json"
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 300, limit + 6):
+        path.write_text(text.replace('"NESTED"', "[" * depth + "]" * depth), encoding="utf-8")
+        assert cli.main([kind, "--config", str(path), "--output", "-"]) == cli.EXIT_SCHEMA, depth
+        assert capsys.readouterr().err.startswith("error: "), depth
