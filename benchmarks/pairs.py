@@ -12,11 +12,18 @@ Each side's runs use its own ``perfbench/run.py`` and ``src``. With
 no workers; the record's ``pin`` names the CPU, or is null for a run on every
 CPU the process may use. Beside the three end-to-end metrics, each run's
 ``cpu_s`` is the user and system time of the perfbench process and the
-children it reaped. The record holds, per workload and metric, the median, q1,
-q3 and n of each side, the pairs the change won, every run's value and
-failed-item count, the median change/parent ratio over pairs with its 95 %
-bootstrap interval (2 000 resamples of the pairs, ``np.random.default_rng(0)``),
-and each side's provenance as its perfbench results file gives it (git SHA and
+children it reaped. Each run also records a probe of the host: ``runnable``,
+the runnable-task count of ``/proc/loadavg`` just before the run (this process
+included), and ``steal_ticks``, the growth of the steal column of ``/proc/stat``
+across it. A pair is flagged when its two runs saw different runnable counts;
+steal is recorded, not compared, since on a host whose steal grows in every run
+"steal on one side only" cannot occur. The record holds, per workload and
+metric, the median, q1, q3 and n of each side, the pairs the change won, every
+run's value and failed-item count, the median change/parent ratio over pairs
+with its 95 % bootstrap interval (2 000 resamples of the pairs,
+``np.random.default_rng(0)``), the same summary over the pairs not flagged
+(``unflagged``, null when every pair is flagged), the flagged pair indices, and
+each side's provenance as its perfbench results file gives it (git SHA and
 dirty flag, source digest, run length, Python and numpy versions). It is
 rewritten after every pair.
 """
@@ -42,16 +49,36 @@ def cpu_seconds() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
+def runnable_tasks() -> int:
+    """Tasks runnable now, the numerator of the fourth field of ``/proc/loadavg``."""
+    return int(Path("/proc/loadavg").read_text().split()[3].split("/")[0])
+
+
+def steal_ticks() -> int:
+    """Ticks the hypervisor has stolen from this host's CPUs so far (``/proc/stat``)."""
+    with open("/proc/stat", encoding="ascii") as stat:
+        # The first line reads: cpu user nice system idle iowait irq softirq steal ...
+        return int(stat.readline().split()[8])
+
+
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """The results file of one perfbench run in ``checkout``, with the run's ``cpu_s`` metric."""
+    """The results file of one perfbench run in ``checkout``, with its ``cpu_s`` and host probe."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    before = cpu_seconds()
+    runnable, steal, before = runnable_tasks(), steal_ticks(), cpu_seconds()
     subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
     cpu_s = cpu_seconds() - before
     path = checkout / ".perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
     result = json.loads(path.read_text(encoding="utf-8"))
     result["metrics"]["cpu_s"] = cpu_s
+    result["host"] = {"runnable": runnable, "steal_ticks": steal_ticks() - steal}
     return result
+
+
+def flagged(runs: dict) -> list:
+    """Indices of the pairs whose two runs saw different runnable-task counts."""
+    pairs = zip(runs["parent"], runs["change"])
+    return [i for i, (parent, change) in enumerate(pairs)
+            if parent["host"]["runnable"] != change["host"]["runnable"]]
 
 
 def summary(values: list) -> dict:
@@ -72,18 +99,28 @@ def ratio(parent: list, change: list) -> dict:
     return {"median": float(np.median(ratios)), "low": float(low), "high": float(high)}
 
 
+def compare(parent: list, change: list, better: str) -> dict:
+    return {
+        "parent": summary(parent),
+        "change": summary(change),
+        "change_wins": wins(parent, change, better),
+        "ratio": ratio(parent, change),
+    }
+
+
 def write(path: Path, record: dict) -> None:
     for entry in record["workloads"].values():
         runs = entry["runs"]
+        entry["flagged"] = flagged(runs)
+        kept = [i for i in range(len(runs["parent"])) if i not in entry["flagged"]]
         entry["metrics"] = {}
         for name, better in BETTER.items():
             parent, change = ([r["metrics"][name] for r in runs[side]] for side in SIDES)
             entry["metrics"][name] = {
                 "better": better,
-                "parent": summary(parent),
-                "change": summary(change),
-                "change_wins": wins(parent, change, better),
-                "ratio": ratio(parent, change),
+                **compare(parent, change, better),
+                "unflagged": compare([parent[i] for i in kept], [change[i] for i in kept], better)
+                if kept else None,
             }
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 
@@ -115,6 +152,7 @@ def main() -> int:
                 entry["runs"][side].append({
                     "first": side == order[0],
                     "failed": result["failed"],
+                    "host": result["host"],
                     "metrics": {name: result["metrics"][name] for name in BETTER},
                 })
             write(args.output, record)

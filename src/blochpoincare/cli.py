@@ -9,8 +9,9 @@ A run imports only its kind's physics modules: the optical ones (coherence,
 polarization, mueller, interference) are imported by the runners that call
 them, so ``--version`` and ``evolve`` load none of them. Outputs are
 byte-deterministic for identical configs (sorted keys, fixed float
-formatting, no timestamps). Every successful run re-validates the
-library invariants on its own outputs before writing. A table longer than
+formatting, no timestamps). Every run re-validates the library invariants
+on its own outputs before writing, except ``correspondence``: it writes its
+report, the diagnostic, and then fails on a failing row. A table longer than
 1024 rows is formatted on every CPU the process may use: contiguous slices
 of its rows go to forked worker processes, and this process writes their
 text in row order, so the bytes are the same on any number of CPUs.

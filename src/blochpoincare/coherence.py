@@ -19,6 +19,8 @@ from .bloch import as_state, fidelity, orthogonal_state, overlap
 from .mueller import mueller_rotator
 from .numerics import gate
 from .polarization import (
+    _LINEAR_ZERO_TOL,
+    _coherence,
     as_coherency,
     degree_of_polarization,
     orientation_angle,
@@ -107,22 +109,22 @@ def optimal_rotation(j) -> RotationSolution:
 
     s1 = (j[0, 0] - j[1, 1]).real
     s2 = (j[0, 1] + j[1, 0]).real
-    if abs(s1) <= 1e-15 and abs(s2) <= 1e-15:
+    if abs(s1) <= _LINEAR_ZERO_TOL and abs(s2) <= _LINEAR_ZERO_TOL:
         phi = 0.0  # already optimal
     else:
         phi = _fold_quarter(0.5 * float(np.arctan2(-s1, s2)))
 
-    rotated = rotate_coherency(j, phi)
-    after = degree_of_polarization(rotated)
+    rotated = rotate_coherency(j, phi)  # derived from j: not validated again
+    j_after = _coherence(rotated)[0]
     scale = max(1.0, report.total_intensity)
     unequal = abs((rotated[0, 0] - rotated[1, 1]).real)
     gate(unequal, 1e-9 * scale, "rotated frame failed to equalize the diagonal intensities")
-    short = abs(after.coherence_magnitude - report.p)
+    short = abs(j_after - report.p)
     gate(short, 1e-9, "rotated coherence does not reach the degree of polarization")
     return RotationSolution(
         phi_opt=float(phi),
         j_before=report.coherence_magnitude,
-        j_after=after.coherence_magnitude,
+        j_after=j_after,
         p=report.p,
         chi=orientation_angle(j),
     )
@@ -151,6 +153,21 @@ def stokes_rotation_check(s, phi: float) -> ConstraintLedger:
     )
 
 
+def _axis_cosines(j: np.ndarray, phi: float) -> Tuple[float, float, float, float]:
+    """Squared cosines of the frame at ``phi`` with J's principal axes; rejects a circular J."""
+    s1 = (j[0, 0] - j[1, 1]).real
+    s2 = (j[0, 1] + j[1, 0]).real
+    scale = max(1.0, (j[0, 0] + j[1, 1]).real)
+    if abs(s1) <= 1e-12 * scale and abs(s2) <= 1e-12 * scale:
+        raise ValueError("degenerate: polarized part is circular, principal axes undefined")
+    chi = orientation_angle(j)
+    x_opt = np.array([np.cos(phi), np.sin(phi)])
+    y_opt = np.array([-np.sin(phi), np.cos(phi)])
+    major = np.array([np.cos(chi), np.sin(chi)])
+    minor = np.array([-np.sin(chi), np.cos(chi)])
+    return tuple(float(np.dot(u, v) ** 2) for u in (x_opt, y_opt) for v in (major, minor))
+
+
 def bisector_geometry(j) -> BisectorReport:
     """Check that the optimal directions bisect the ellipse principal axes.
 
@@ -161,27 +178,12 @@ def bisector_geometry(j) -> BisectorReport:
     """
     j = as_coherency(j)
     solution = optimal_rotation(j)  # validates j and rejects P = 0
-    s1 = (j[0, 0] - j[1, 1]).real
-    s2 = (j[0, 1] + j[1, 0]).real
-    scale = max(1.0, (j[0, 0] + j[1, 1]).real)
-    if abs(s1) <= 1e-12 * scale and abs(s2) <= 1e-12 * scale:
-        raise ValueError("degenerate: polarized part is circular, principal axes undefined")
-
     chi, phi_opt = solution.chi, solution.phi_opt
+    cosines = _axis_cosines(j, phi_opt)
     offset = phi_opt - chi
     residual = (offset - _QUARTER) % _HALF_PI
     residual = min(residual, _HALF_PI - residual)
     gate(residual, 1e-8, f"optimal frame misses the bisector by {residual:.3e} rad (mod pi/2)")
-
-    x_opt = np.array([np.cos(phi_opt), np.sin(phi_opt)])
-    y_opt = np.array([-np.sin(phi_opt), np.cos(phi_opt)])
-    major = np.array([np.cos(chi), np.sin(chi)])
-    minor = np.array([-np.sin(chi), np.cos(chi)])
-    cosines = tuple(
-        float(np.dot(u, v) ** 2)
-        for u in (x_opt, y_opt)
-        for v in (major, minor)
-    )
     deviation = np.max(np.abs(np.subtract(cosines, 0.5)))
     gate(deviation, 1e-9, "squared direction cosines deviate from 1/2")
     return BisectorReport(
@@ -290,10 +292,13 @@ def correspondence_report(
 
     Five paired rows: conservation of the gap/intensity constraint, equalized
     diagonal entries, maximal off-diagonal magnitude, equal-split overlaps
-    with the optimal eigenbasis/principal axes, and unit efficiency. The
-    conservation ledger of the rotation is derived here from the beam and its
-    frame. All compared quantities are dimensionless residuals; no unit
-    bridge between energy and intensity is attempted.
+    with the optimal eigenbasis/principal axes, and unit efficiency. Every
+    optical row judges the frame angle it is given against the beam, and the
+    frame is not solved again, so an angle that is not the beam's optimum
+    fails its rows. The conservation
+    ledger of the rotation is derived here from the beam and its frame. All
+    compared quantities are dimensionless residuals; no unit bridge between
+    energy and intensity is attempted.
     """
     a, j, i_pol = _check_pairing(quantum, optical)
     h = quantum.synthesis.hamiltonian
@@ -313,7 +318,7 @@ def correspondence_report(
 
     a_perp = orthogonal_state(a)
     split_q = max(abs(fidelity(v, s) - 0.5) for v in h.eigenstates for s in (a, a_perp))
-    split_o = max(abs(c - 0.5) for c in bisector_geometry(j).cosines_sq)
+    split_o = max(abs(c - 0.5) for c in _axis_cosines(j, optical.rotation.phi_opt))
 
     eta_q = abs(1.0 - quantum.efficiency.eta_qm)
     eta_o = abs(1.0 - optical.rotation.j_after / optical.rotation.p)

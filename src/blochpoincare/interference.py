@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .bloch import as_state, is_normalized, overlap
-from .numerics import _squares
-from .polarization import _exact_rescale, degree_of_polarization, validate_coherency
+from .numerics import _squares, gate
+from .polarization import _BOUND_TOL, _coherence, _exact_rescale, validate_coherency
 
 
 def _value(result):
@@ -28,15 +28,21 @@ def _analyzer_terms(j, theta):
 
     The laws are homogeneous in J: after validating J as given they are
     evaluated on the exact rescale J / 2**k, which keeps I_x I_y clear of
-    under- and overflow.
+    under- and overflow. J's bounds are absolute; the two the laws read, the
+    diagonal and the Schwarz bound, are also held on the rescale, so a beam
+    far below 1 cannot pass with negative intensities or |j_xy| > 1.
     """
     scaled, k = _exact_rescale(validate_coherency(j))
-    report = degree_of_polarization(scaled)
-    i_x = scaled[0, 0].real * _squares(np.cos(theta))
-    i_y = scaled[1, 1].real * _squares(np.sin(theta))
+    jxx, jyy = scaled[0, 0].real, scaled[1, 1].real
+    gate(-min(jxx, jyy), _BOUND_TOL, "diagonal intensities must be nonnegative", ValueError)
+    excess = abs(scaled[0, 1]) ** 2 - jxx * jyy
+    gate(excess, _BOUND_TOL, "coherency determinant must be nonnegative (Schwarz bound)", ValueError)
+    magnitude, phase = _coherence(scaled)
+    i_x = jxx * _squares(np.cos(theta))
+    i_y = jyy * _squares(np.sin(theta))
     product = i_x * i_y
-    cross = 2.0 * np.sqrt(np.where(product > 0.0, product, 0.0)) * report.coherence_magnitude
-    return i_x, i_y, cross, report.coherence_phase, k
+    cross = 2.0 * np.sqrt(np.where(product > 0.0, product, 0.0)) * magnitude
+    return i_x, i_y, cross, phase, k
 
 
 def classical_intensity(j, theta, epsilon):

@@ -15,6 +15,7 @@ import numpy as np
 from .numerics import gate
 
 _BOUND_TOL = 1e-9
+_LINEAR_ZERO_TOL = 1e-15  # |S1| and |S2| at most this: no linear part, the frame angles are 0
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,7 @@ def _exact_rescale(j: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def validate_coherency(mat) -> np.ndarray:
-    """A finite, Hermitian, nonnegative, Schwarz-bounded 2x2 matrix, each within ``_BOUND_TOL``."""
+    """Finite, Hermitian, nonnegative, Schwarz-bounded (within ``_BOUND_TOL``), positive trace."""
     j = as_coherency(mat)
     if not np.all(np.isfinite(j)):
         raise ValueError("coherency entries must be finite")
@@ -126,6 +127,8 @@ def validate_coherency(mat) -> np.ndarray:
     with np.errstate(over="ignore"):
         excess = np.ldexp(excess, 2 * k)
     gate(excess, tol, "coherency determinant must be nonnegative (Schwarz bound)", ValueError)
+    if scaled[0, 0].real + scaled[1, 1].real <= 0.0:  # J's own trace can overflow
+        raise ValueError("total intensity must be positive")
     return j
 
 
@@ -161,6 +164,15 @@ def rotate_coherency(j, phi: float) -> np.ndarray:
     return r @ j @ r.T
 
 
+def _coherence(j: np.ndarray) -> tuple[float, float]:
+    """|J_xy|/sqrt(J_xx J_yy) and arg J_xy of a J validated or derived from one, unchecked."""
+    denom = j[0, 0].real * j[1, 1].real
+    if denom > 0.0:
+        phase = float(np.angle(j[0, 1])) if abs(j[0, 1]) > 0.0 else 0.0
+        return float(abs(j[0, 1]) / np.sqrt(denom)), phase
+    return 0.0, 0.0  # a dark axis: J_xy vanishes by the Schwarz bound, the ratio is taken as 0
+
+
 def degree_of_polarization(j) -> PolarizationReport:
     """Rotation-invariant polarization fraction plus frame-local coherence.
 
@@ -170,19 +182,9 @@ def degree_of_polarization(j) -> PolarizationReport:
     """
     j = validate_coherency(j)
     trace = (j[0, 0] + j[1, 1]).real
-    if trace <= 0.0:
-        raise ValueError("total intensity must be positive")
     det = (j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]).real
     p = float(np.sqrt(max(0.0, 1.0 - 4.0 * det / trace**2)))
-    denom = j[0, 0].real * j[1, 1].real
-    if denom > 0.0:
-        magnitude = float(abs(j[0, 1]) / np.sqrt(denom))
-        phase = float(np.angle(j[0, 1])) if abs(j[0, 1]) > 0.0 else 0.0
-    else:
-        # One axis carries no intensity; the off-diagonal vanishes by the
-        # Schwarz bound and the coherence ratio is taken as 0.
-        magnitude = 0.0
-        phase = 0.0
+    magnitude, phase = _coherence(j)
     return PolarizationReport(
         p=p,
         total_intensity=float(trace),
@@ -201,7 +203,7 @@ def orientation_angle(j) -> float:
     j = as_coherency(j)
     s1 = (j[0, 0] - j[1, 1]).real
     s2 = (j[0, 1] + j[1, 0]).real
-    if abs(s1) <= 1e-15 and abs(s2) <= 1e-15:
+    if abs(s1) <= _LINEAR_ZERO_TOL and abs(s2) <= _LINEAR_ZERO_TOL:
         return 0.0
     chi = 0.5 * float(np.arctan2(s2, s1))
     return chi % np.pi

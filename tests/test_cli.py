@@ -1555,3 +1555,94 @@ def test_config_nested_too_deep_to_check_is_a_config_error(tmp_path, capsys, kin
         path.write_text(text.replace('"NESTED"', "[" * depth + "]" * depth), encoding="utf-8")
         assert cli.main([kind, "--config", str(path), "--output", "-"]) == cli.EXIT_SCHEMA, depth
         assert capsys.readouterr().err.startswith("error: "), depth
+
+
+def _scaled_beam(scale):
+    """c * [[2, .5 + .3i], [.5 - .3i, 1]] as a config's coherency."""
+    return [
+        [[2.0 * scale, 0.0], [0.5 * scale, 0.3 * scale]],
+        [[0.5 * scale, -0.3 * scale], [scale, 0.0]],
+    ]
+
+
+_PAIRED_STATES = {"initial": [[1.0, 0.0], [0.0, 0.0]], "target": [[0.6, 0.0], [0.8, 0.0]]}
+
+
+@pytest.mark.parametrize("scale", [1e7, 1e10, 1e150])
+@pytest.mark.parametrize("kind", ["optimize-coherence", "correspondence"])
+def test_a_valid_beam_at_scale_is_not_blamed_as_non_hermitian(tmp_path, capsys, kind, scale):
+    # The rotated matrix carries rounding asymmetry at the beam's scale; it is
+    # derived from a validated beam, so no Hermitian gate may see it.
+    params = {"coherency": _scaled_beam(scale)}
+    if kind == "correspondence":
+        params.update(_PAIRED_STATES, energy=1.0)
+    config = write_config(tmp_path, {"parameters": params})
+    code = cli.main([kind, "--config", str(config), "--output", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    if scale == 1e7:
+        assert (code, err) == (cli.EXIT_OK, "")
+    else:
+        assert code != cli.EXIT_SCHEMA and "must be Hermitian" not in err, err
+
+
+_ONE_BEAM_RUNS = [
+    ("optimize-coherence", OPTIMIZE_CONFIG, 1, 1),
+    ("correspondence", _CORRESPONDENCE, 2, 1),
+    (
+        "interference",
+        {"parameters": dict(INTERFERENCE_SWEEPS["classical"], phase_delays=_SMALL_GRID)},
+        2,
+        0,
+    ),
+]
+
+
+@pytest.mark.parametrize("kind, config, validations, solves", _ONE_BEAM_RUNS)
+def test_each_construction_validates_the_beam_it_is_given_once(
+    tmp_path, monkeypatch, capsys, kind, config, validations, solves
+):
+    # optimize-coherence solves the frame; correspondence solves it and checks
+    # the pairing; the classical law validates once per law call, two per run.
+    from blochpoincare import coherence, interference, polarization
+
+    calls = {"validate_coherency": 0, "optimal_rotation": 0}
+    for home, name in ((polarization, "validate_coherency"), (coherence, "optimal_rotation")):
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (polarization, coherence, interference, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    path = write_config(tmp_path, config)
+    assert cli.main([kind, "--config", str(path), "--output", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert calls == {"validate_coherency": validations, "optimal_rotation": solves}
+
+
+_TINY = 1e-13
+
+
+@pytest.mark.parametrize(
+    "coherency, message",
+    [
+        ([[1.0, 2.0], [2.0, 1.0]], "coherency determinant must be nonnegative (Schwarz bound)"),
+        ([[1.0, 1.0], [1.0, 0.0]], "coherency determinant must be nonnegative (Schwarz bound)"),
+        ([[1.0, 0.0], [0.0, -0.1]], "diagonal intensities must be nonnegative"),
+    ],
+    ids=["schwarz", "dark-axis", "negative-diagonal"],
+)
+def test_a_tiny_invalid_beam_is_rejected_by_the_classical_law(tmp_path, capsys, coherency, message):
+    # J's bounds are absolute, so at 1e-13 these beams pass them; the law reads
+    # the exact rescale J / 2**k, and holds the diagonal and the Schwarz bound
+    # there, where they bind at any scale.
+    scaled = [[[_TINY * x, 0.0] for x in row] for row in coherency]
+    params = dict(INTERFERENCE_SWEEPS["classical"], coherency=scaled, phase_delays=_SMALL_GRID)
+    config = write_config(tmp_path, {"parameters": params})
+    out = tmp_path / "sweep.json"
+    assert cli.main(["interference", "--config", str(config), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field 'parameters/coherency': {message}"), err
+    assert not out.exists()

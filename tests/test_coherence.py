@@ -337,7 +337,7 @@ def test_detour_fails_only_the_quantum_efficiency_side():
             assert row.passed
 
 
-def test_half_rotation_fails_the_off_diagonal_row():
+def test_half_rotation_fails_the_frame_rows():
     half_phi = optimal_rotation(J_WORKED).phi_opt / 2.0
     report = correspondence_report(
         make_quantum_scenario(), make_optical_scenario(phi=half_phi)
@@ -346,7 +346,22 @@ def test_half_rotation_fails_the_off_diagonal_row():
     assert not by_label["maximal off-diagonal"].optical_pass
     assert not by_label["equal diagonal"].optical_pass
     assert by_label["constraint conservation"].passed
-    assert by_label["equal-split overlaps"].passed
+    assert not by_label["equal-split overlaps"].optical_pass
+
+
+def test_equal_split_row_judges_the_frame_angle_against_the_beams_axes():
+    # The principal axes come from the beam, not from the frame's chi: a wrong
+    # chi beside the optimal angle passes, and the optimum of a rotated copy of
+    # the beam (same P, its own consistent angle and chi) fails.
+    solution = optimal_rotation(J_WORKED)
+    wrong_chi = dataclasses.replace(solution, chi=solution.chi + 0.3)
+    other = optimal_rotation(rotate_coherency(J_WORKED, 0.4))
+    for rotation, passes in ((wrong_chi, True), (other, False)):
+        optical = OpticalScenario(coherency=J_WORKED, rotation=rotation)
+        by_label = {row.label: row for row in correspondence_report(
+            make_quantum_scenario(), optical).rows}
+        assert by_label["equal-split overlaps"].optical_pass is passes
+        assert by_label["equal-split overlaps"].quantum_pass
 
 
 def test_mismatched_pairing_is_rejected():

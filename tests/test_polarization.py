@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blochpoincare.bloch import bloch_vector, fubini_study_angle
+from blochpoincare.interference import classical_intensity
 from blochpoincare.polarization import (
     degree_of_polarization,
     orientation_angle,
@@ -472,3 +473,14 @@ def test_profile_matches_stokes_form():
         s = sphere_stokes(beta, chi, p)
         expected = np.sqrt((s[2] ** 2 + s[3] ** 2) / (s[0] ** 2 - s[1] ** 2))
         assert abs(partial_coherence_profile(beta, chi, p) - expected) < 1e-12
+
+
+@pytest.mark.parametrize("j", [np.zeros((2, 2)), np.diag([-1e-10, -1e-10]), np.diag([1e-10, -3e-10])])
+def test_a_beam_without_intensity_is_rejected_where_it_is_validated(j):
+    # Like validate_stokes with S0 <= 0: every construction that validates the
+    # beam rejects it, the decomposition and the interference laws included.
+    for construction in (validate_coherency, degree_of_polarization, wiener_decompose):
+        with pytest.raises(ValueError, match="total intensity must be positive"):
+            construction(j)
+    with pytest.raises(ValueError, match="total intensity must be positive"):
+        classical_intensity(j, 0.3, 0.0)
