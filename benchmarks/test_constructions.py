@@ -5,8 +5,10 @@ input, so a change to one construction shows without process noise. The
 correspondence chain is the runner's optical and efficiency steps on one
 beam and a synthesized trajectory; the classical sweep is the interference
 runner's two law calls on a 120 x 120 grid. The render cases write a sweep's
-computed columns to a file as the evolve and interference runners do, on the
-CPUs the process may use and on one CPU (layer 4). The validation cases time
+computed columns to a file as the evolve and interference runners do (an
+interference sweep formats each axis value once and broadcasts its text: the
+pancharatnam 200 x 200 JSON and the classical 120 x 120 CSV), on the CPUs the
+process may use and on one CPU (layer 4). The validation cases time
 the built-in schema checker on a valid config and on an invalid one, whose
 first error it words. One case times ``import blochpoincare.cli`` in
 fresh interpreters and records the median ``-X importtime`` cumulative time
@@ -251,18 +253,39 @@ def test_emit_json_trajectory_10000_rows(benchmark, tmp_path, monkeypatch, cpus)
     benchmark(emit)
 
 
+def _sweep_rows(header: str, first, second, law, per_first=None):
+    """The interference runner's rows: each axis value formatted once, its text broadcast."""
+    columns = [cli._text(first)[:, None], cli._text(second), law]
+    if per_first is not None:
+        columns.append(cli._text(per_first)[:, None])
+    return Rows(zip(header.split(","), map(np.ravel, np.broadcast_arrays(*columns))))
+
+
 @pytest.mark.parametrize("cpus", ["affinity", "one"])
 def test_emit_json_pancharatnam_40000_rows(benchmark, tmp_path, monkeypatch, cpus):
     _cpus(benchmark, monkeypatch, cpus, math.ceil(40_000 / cli._BLOCK))
-    grids = np.linspace(0.0, np.pi, 200), np.linspace(0.0, 2.0 * np.pi, 200)
-    theta, delta = np.meshgrid(*grids, indexing="ij")
-    columns = theta, delta, pancharatnam_intensity(1.0, 0.5, theta, delta)
+    angles, advances = np.linspace(0.0, np.pi, 200), np.linspace(0.0, 2.0 * np.pi, 200)
+    intensity = pancharatnam_intensity(1.0, 0.5, angles[:, None], advances)
     path = str(tmp_path / "sweep.json")
 
     def emit():
-        table = np.column_stack([np.ravel(column) for column in columns])
-        rows = Rows(zip(["theta_poincare", "delta", "intensity"], table.T))
+        rows = _sweep_rows("theta_poincare,delta,intensity", angles, advances, intensity)
         emit_json({"kind": "interference", "law": "pancharatnam", "rows": rows}, path)
+
+    benchmark(emit)
+
+
+@pytest.mark.parametrize("cpus", ["affinity", "one"])
+def test_emit_csv_classical_14400_rows(benchmark, tmp_path, monkeypatch, cpus):
+    _cpus(benchmark, monkeypatch, cpus, math.ceil(120 * 120 / cli._BLOCK))
+    angles, delays = np.linspace(0.0, np.pi / 2.0, 120), np.linspace(0.0, 2.0 * np.pi, 120)
+    intensity = classical_intensity(BEAM, angles[:, None], delays)
+    visibility = fringe_visibility(BEAM, angles)
+    header = "theta,epsilon,intensity,visibility"
+    path = str(tmp_path / "sweep.csv")
+
+    def emit():
+        emit_csv(_sweep_rows(header, angles, delays, intensity, visibility), header, path)
 
     benchmark(emit)
 

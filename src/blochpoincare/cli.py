@@ -9,12 +9,16 @@ A run imports only its kind's physics modules: the optical ones (coherence,
 polarization, mueller, interference) are imported by the runners that call
 them, so ``--version`` and ``evolve`` load none of them. Outputs are
 byte-deterministic for identical configs (sorted keys, fixed float
-formatting, no timestamps). Every run re-validates the library invariants
+formatting, no timestamps). An interference sweep formats each value of
+its grid axes once and broadcasts that text into the rows; only the law's
+values are formatted row by row, and the bytes are those of formatting every
+row in full. Every run re-validates the library invariants
 on its own outputs before writing, except ``correspondence``: it writes its
 report, the diagnostic, and then fails on a failing row. A table longer than
 1024 rows is formatted on every CPU the process may use: contiguous slices
 of its rows go to forked worker processes, and this process writes their
-text in row order, so the bytes are the same on any number of CPUs.
+text in row order, so the bytes are the same on any number of CPUs. When
+the write fails part-way, the workers still formatting are killed.
 
 A config may be an array of scenarios, a batch. Each entry's stdout and
 stderr, warnings included, are what it writes run alone, in entry order.
@@ -31,6 +35,8 @@ config or schema violation, ``error:``; 3 a numerical gate failure,
 ``numerical gate failure:``, or any other exception, ``unexpected error:``
 and its type; 4 an I/O error, ``i/o error:``. A config error names the
 fields at fault as ``config field 'a': ...`` or ``config fields 'a' and 'b': ...``.
+A grid whose span ``stop - start`` overflows a double exits 2 naming its field,
+before any law runs; under ``--degrees`` the grid is checked as given, in degrees.
 """
 
 from __future__ import annotations
@@ -229,8 +235,19 @@ def _as_matrix(entries) -> np.ndarray:
     return np.array([[_as_complex(v) for v in row] for row in entries], dtype=complex)
 
 
-def _grid_values(grid: dict) -> np.ndarray:
-    return np.linspace(float(grid["start"]), float(grid["stop"]), int(grid["count"]))
+def _grid_ends(grid: dict, field: str) -> tuple:
+    """``(start, stop, count)`` of the grid ``field``; a ConfigError if its span overflows.
+
+    ``np.linspace`` of finite ends is finite exactly when ``stop - start`` is.
+    """
+    start, stop, count = float(grid["start"]), float(grid["stop"]), int(grid["count"])
+    if not math.isfinite(stop - start):
+        raise ConfigError(f"the grid from {start!r} to {stop!r} overflows", f"parameters/{field}")
+    return start, stop, count
+
+
+def _grid_values(params: dict, field: str) -> np.ndarray:
+    return np.linspace(*_grid_ends(params[field], field))
 
 
 def _convert_degrees(kind: str, params: dict) -> dict:
@@ -240,12 +257,10 @@ def _convert_degrees(kind: str, params: dict) -> dict:
         if field not in converted:
             continue
         value = converted[field]
-        if isinstance(value, dict):
-            converted[field] = {
-                "start": np.deg2rad(float(value["start"])),
-                "stop": np.deg2rad(float(value["stop"])),
-                "count": int(value["count"]),
-            }
+        if isinstance(value, dict):  # a grid is checked as given, in degrees
+            start, stop, count = _grid_ends(value, field)
+            start, stop = np.deg2rad(start), np.deg2rad(stop)
+            converted[field] = {"start": start, "stop": stop, "count": count}
         else:
             converted[field] = float(np.deg2rad(float(value)))
     return converted
@@ -281,14 +296,15 @@ def _start_worker(task: Callable, lo: int, hi: int, workers: dict) -> Optional[i
     return pid
 
 
-def _slices(units: int, task: Callable, fork: bool = True) -> Iterator[tuple]:
+def _slices(units: int, task: Callable, fork: bool = True, pure: bool = False) -> Iterator[tuple]:
     """Cut ``range(units)`` into one contiguous slice per CPU the process may use, in order.
 
     A forked worker runs each slice but the first as ``task(lo, hi, file)``. Each
     slice is yielded as ``(lo, hi, file)``, ``file`` rewound, once its worker has
     exited 0, else as ``(lo, hi, None)`` for this process to do: the first, and any
     whose worker could not start, was killed or exited non-zero. Every worker is
-    reaped, also when the consumer stops part-way. There is one slice where
+    reaped, also when the consumer stops part-way; a ``pure`` task writes only to
+    its file, so then its workers are killed first. There is one slice where
     ``fork`` is false, in a process with other Python threads (a lock one of them
     holds would stay held in a worker), where SIGCHLD is ignored (the kernel would
     reap the workers), and within another call's slices.
@@ -322,6 +338,8 @@ def _slices(units: int, task: Callable, fork: bool = True) -> Iterator[tuple]:
         _forked = held
         for pid, file in workers.items():  # left only when the consumer stopped part-way
             file.close()
+            if pure:
+                os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
@@ -351,37 +369,56 @@ def _json_fragment(value, indent: int) -> str:
 
 
 class Rows(dict):
-    """A JSON list of N objects of one shape: row k holds ``value[k]`` of each (N, ...) array."""
+    """A JSON list of N objects of one shape: row k holds ``value[k]`` of each (N, ...) array.
+
+    A value is float, or text: an object array of ``format_float`` strings, which
+    fills its slots as given. A sweep formats each axis value once that way.
+    """
 
 
-_SLOT = -1.2345678901234567e-123  # a float whose text marks the value slots of a row
+def _text(values) -> np.ndarray:
+    """``format_float`` of each of ``values``, as an object array of their shape."""
+    values = np.asarray(values, dtype=float)
+    text = [format_float(value) for value in values.ravel().tolist()]
+    return np.array(text, dtype=object).reshape(values.shape)
+
+
+_SLOT = -1.2345678901234567e-123  # a float whose text marks the float slots of a row
+_TEXT = -1.2345678901234567e-124  # and one whose text marks its text slots
 _BLOCK = 1024  # rows per chunk: the chunks stay small, and the body is never joined whole
 
 
 @functools.cache
 def _row_template(shape: tuple, indent: int) -> str:
-    """The %-template of one JSON row of ``shape``, (key, dims) pairs in sorted-key order."""
-    row = {key: np.full(dims, _SLOT).tolist() for key, dims in shape}
-    return _json_fragment(row, indent).replace("%", "%%").replace(format_float(_SLOT), "%.17g")
+    """The %-template of one JSON row of ``shape``, (key, dims, text) in sorted-key order.
+
+    A float slot is ``%.17g``; a text slot, where ``text`` is true, is ``%s``.
+    """
+    row = {key: np.full(dims, _TEXT if text else _SLOT).tolist() for key, dims, text in shape}
+    template = _json_fragment(row, indent).replace("%", "%%")
+    return template.replace(format_float(_SLOT), "%.17g").replace(format_float(_TEXT), "%s")
 
 
-def _row_chunks(template: str, table: np.ndarray) -> Iterator[str]:
-    """``template % row`` for each row of the 2-D ``table``, joined in blocks of rows.
+def _row_chunks(template: str, columns: Sequence[np.ndarray]) -> Iterator[str]:
+    """``template % row`` for each row of the 1-D ``columns``, joined in blocks of rows.
 
-    Workers format the slices of blocks after the first, streamed here in turn;
+    A float column fills ``%.17g`` slots and a text column ``%s`` ones. Workers
+    format the slices of blocks after the first, streamed here in turn;
     formatting is pure, so a slice whose worker failed is formatted here.
     """
-    if not np.isfinite(table).all():
+    if not all(np.isfinite(column).all() for column in columns if column.dtype != object):
         raise ValueError("refusing to serialize a non-finite float")
+    rows = len(columns[0])
 
     def blocks(lo: int, hi: int) -> Iterator[str]:
-        for start in range(lo * _BLOCK, min(hi * _BLOCK, len(table)), _BLOCK):
-            yield "".join([template % tuple(row) for row in table[start : start + _BLOCK].tolist()])
+        for start in range(lo * _BLOCK, min(hi * _BLOCK, rows), _BLOCK):
+            block = [column[start : start + _BLOCK].tolist() for column in columns]
+            yield "".join([template % row for row in zip(*block)])
 
     def format_slice(lo: int, hi: int, file: BinaryIO) -> None:
         file.writelines(map(str.encode, blocks(lo, hi)))
 
-    for lo, hi, file in _slices(math.ceil(len(table) / _BLOCK), format_slice):
+    for lo, hi, file in _slices(math.ceil(rows / _BLOCK), format_slice, pure=True):
         if file is None:
             yield from blocks(lo, hi)
         else:
@@ -392,14 +429,17 @@ def _json_chunks(container, indent: int) -> Iterator[str]:
     """The JSON text of a dict, list or tuple in pieces, each list element whole."""
     pad = "  " * indent
     if isinstance(container, Rows):
-        shape = tuple((key, np.shape(container[key])[1:]) for key in sorted(container))
-        table = np.column_stack([np.reshape(container[k], (-1, math.prod(d))) for k, d in shape])
+        values = {key: np.asarray(container[key]) for key in sorted(container)}
+        shape = tuple((key, v.shape[1:], v.dtype == object) for key, v in values.items())
+        columns = [c for v in values.values() for c in v.reshape(len(v), math.prod(v.shape[1:])).T]
         # Every row opens with a comma; the first opens the list instead.
-        rows = _row_chunks(f",\n{pad}  " + _row_template(shape, indent + 1), table)
-        if len(table):
+        rows = _row_chunks(f",\n{pad}  " + _row_template(shape, indent + 1), columns)
+        if len(columns[0]):
             yield "[" + next(rows)[1:]
             yield from rows
-        yield f"\n{pad}]" if len(table) else "[]"
+            yield f"\n{pad}]"
+        else:
+            yield "[]"
     elif isinstance(container, dict) and container:
         opening = "{\n"
         for key in sorted(container):
@@ -421,10 +461,15 @@ def _json_chunks(container, indent: int) -> Iterator[str]:
         yield "{}" if isinstance(container, dict) else "[]"
 
 
-def _csv_chunks(header: str, rows: Sequence[Sequence[float]]) -> Iterator[str]:
-    table = np.asarray(rows, dtype=float).reshape(len(rows), header.count(",") + 1)
+def _csv_chunks(header: str, rows) -> Iterator[str]:
+    """The CSV text of a 2-D table of float ``rows``, or of a ``Rows`` of ``header``'s columns."""
+    if isinstance(rows, Rows):
+        columns = [np.asarray(rows[name]) for name in header.split(",")]
+    else:
+        columns = list(np.asarray(rows, dtype=float).reshape(len(rows), header.count(",") + 1).T)
+    slots = ["%s" if column.dtype == object else "%.17g" for column in columns]
     yield f"# version={__version__}\n{header}\n"
-    yield from _row_chunks(",".join(["%.17g"] * table.shape[1]) + "\n", table)
+    yield from _row_chunks(",".join(slots) + "\n", columns)
 
 
 def _json_document(payload: dict) -> Iterator[str]:
@@ -437,8 +482,12 @@ def render_json(payload: dict) -> str:
     return "".join(_json_document(payload))
 
 
-def render_csv(header: str, rows: Sequence[Sequence[float]]) -> str:
-    """Version comment, header row, then one line per row of the 2-D array-like ``rows``."""
+def render_csv(header: str, rows) -> str:
+    """Version comment, header row, then one line per row of ``rows``.
+
+    ``rows`` is a 2-D array-like of floats, or a ``Rows`` of 1-D columns keyed by
+    the names of ``header``.
+    """
     return "".join(_csv_chunks(header, rows))
 
 
@@ -485,8 +534,8 @@ def emit_json(payload: dict, path: str) -> None:
     _write_chunks(path, _json_document({**payload, "version": __version__}))
 
 
-def emit_csv(records: Sequence[Sequence[float]], header: str, path: str) -> None:
-    """Write ``render_csv(header, records)``: ``records`` is any 2-D array-like of float rows."""
+def emit_csv(records, header: str, path: str) -> None:
+    """Write ``render_csv(header, records)``."""
     _write_chunks(path, _csv_chunks(header, records))
 
 
@@ -648,10 +697,11 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
 
     params = config["parameters"]
     law = params["law"]
+    # Each axis is formatted once, its text broadcast into the rows; a law's values row by row.
     if law == "classical":
         j = _as_matrix(params["coherency"])
-        angles = _grid_values(params["analyzer_angles"])
-        delays = _grid_values(params["phase_delays"])
+        angles = _grid_values(params, "analyzer_angles")
+        delays = _grid_values(params, "phase_delays")
         with _naming("parameters/coherency"):
             intensity = classical_intensity(j, angles[:, None], delays)
         with _naming("parameters/analyzer_angles"):
@@ -659,25 +709,25 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
         if not np.all(np.isfinite(intensity)):
             raise ConfigError("the intensities overflow", "parameters/coherency")
         gate(np.max(-intensity), 1e-12, "negative intensity in classical sweep")
-        columns = (angles[:, None], delays, intensity, visibility[:, None])
+        columns = (_text(angles)[:, None], _text(delays), intensity, _text(visibility)[:, None])
         header = "theta,epsilon,intensity,visibility"
     elif law == "pancharatnam":
+        angles = _grid_values(params, "sphere_angles")
+        advances = _grid_values(params, "phase_advances")
         i_a, i_b = float(params["intensity_a"]), float(params["intensity_b"])
         _gate_amplitudes({"intensity_a": i_a, "intensity_b": i_b}, math.sqrt(i_a), math.sqrt(i_b))
-        angles = _grid_values(params["sphere_angles"])
-        advances = _grid_values(params["phase_advances"])
         with _naming("parameters/sphere_angles"):
             intensity = pancharatnam_intensity(i_a, i_b, angles[:, None], advances)
-        columns = (angles[:, None], advances, intensity)
+        columns = (_text(angles)[:, None], _text(advances), intensity)
         header = "theta_poincare,delta,intensity"
     else:
+        phases = _grid_values(params, "relative_phases")
         state_a = _as_state_array(params["state_a"])
         state_b = _as_state_array(params["state_b"])
         amp_a = _as_complex(params["amp_a"])
         modulus = float(params["amp_b_modulus"])
         amplitudes = {"amp_a": amp_a, "amp_b_modulus": modulus}
         _gate_amplitudes(amplitudes, math.hypot(amp_a.real, amp_a.imag), modulus)
-        phases = _grid_values(params["relative_phases"])
         amp_b = modulus * np.exp(1j * phases)
         with _naming("parameters/state_a", "parameters/state_b"):
             probability = quantum_probability(amp_a, amp_b, state_a, state_b)
@@ -687,14 +737,13 @@ def _run_interference(config: dict, fmt: str, out_path: str) -> None:
         # The largest excess of |p - direct| over its row's bound; a - b <= 0 iff a <= b.
         excess = np.max(np.abs(probability - direct) - 1e-12 * np.maximum(1.0, direct))
         gate(excess, 0.0, "interference law deviates from direct norm")
-        columns = (phases, probability, direct)
+        columns = (phases, probability, direct)  # one row per phase: nothing repeats
         header = "relative_phase,probability,direct_norm"
 
-    table = np.column_stack([np.ravel(column) for column in np.broadcast_arrays(*columns)])
+    rows = Rows(zip(header.split(","), map(np.ravel, np.broadcast_arrays(*columns))))
     if fmt == "csv":
-        emit_csv(table, header, out_path)
+        emit_csv(rows, header, out_path)
     else:
-        rows = Rows(zip(header.split(","), table.T))
         emit_json({"kind": "interference", "law": law, "rows": rows}, out_path)
 
 

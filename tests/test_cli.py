@@ -10,6 +10,7 @@ import stat
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -405,6 +406,16 @@ _ROW_SHAPES = {
 # Edges of the double range, signed zeros and subnormals.
 _SPECIAL_DOUBLES = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072009e-308, 1.7976931348623157e308]
 
+# Sweep grids whose rows fill one block or cross the block and the 2- and 3-CPU slice bounds.
+_GRIDS = [(32, 32), (25, 41), (43, 48), (47, 66), (70, 70)]
+
+
+def _random_doubles(rng, shape):
+    """Random bit patterns, exponents across the whole double range, the non-finite ones 0."""
+    values = rng.integers(0, 2**64, shape, np.uint64).view(float)
+    values[~np.isfinite(values)] = 0.0
+    return values
+
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -413,13 +424,16 @@ _SPECIAL_DOUBLES = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072009e-308, 1.79769
     seed=st.integers(0, 2**32 - 1),
     drawn=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
     nested=st.booleans(),
+    law=st.sampled_from(["classical", "pancharatnam"]),
+    axes=st.one_of(st.tuples(st.integers(1, 70), st.integers(1, 70)), st.sampled_from(_GRIDS)),
 )
-def test_row_templates_are_bytewise_the_generic_rendering(shape, rows, seed, drawn, nested):
+def test_row_templates_are_bytewise_the_generic_rendering(
+    shape, rows, seed, drawn, nested, law, axes
+):
     dims = _ROW_SHAPES[shape]
     width = sum(math.prod(d) for d in dims.values())
-    # Random bit patterns: exponents across the whole double range.
-    table = np.random.default_rng(seed).integers(0, 2**64, (rows, width), np.uint64).view(float)
-    table[~np.isfinite(table)] = 0.0
+    rng = np.random.default_rng(seed)
+    table = _random_doubles(rng, (rows, width))
     specials = (drawn + _SPECIAL_DOUBLES)[: table.size]
     table.flat[: len(specials)] = specials
 
@@ -431,6 +445,17 @@ def test_row_templates_are_bytewise_the_generic_rendering(shape, rows, seed, dra
         start += math.prod(d)
     generic = [{key: value[k].tolist() for key, value in fields.items()} for k in range(rows)]
 
+    # A sweep as the interference runner writes it: each axis value formatted once and its
+    # text broadcast, beside the 2-D law column; the axes repeat values from a small pool.
+    pool = drawn + _SPECIAL_DOUBLES + _random_doubles(rng, 4).tolist()
+    first, second, per_first = (rng.choice(pool, n) for n in (axes[0], axes[1], axes[0]))
+    keys = list(_ROW_SHAPES[law])
+    sweep = [first[:, None], second, _random_doubles(rng, axes), per_first[:, None]][: len(keys)]
+    texts = [column if k == 2 else cli._text(column) for k, column in enumerate(sweep)]
+    broadcast = [np.ravel(column) for column in np.broadcast_arrays(*sweep)]
+    swept = cli.Rows(zip(keys, broadcast))
+    texted = cli.Rows(zip(keys, map(np.ravel, np.broadcast_arrays(*texts))))
+
     def document(body):
         return cli.render_json({"outer": {"rows": body}} if nested else {"rows": body})
 
@@ -440,6 +465,11 @@ def test_row_templates_are_bytewise_the_generic_rendering(shape, rows, seed, dra
             csv = cli.render_csv(header, table)
             assert csv == f"# version={cli.__version__}\n{header}\n{lines}"
             assert document(cli.Rows(fields)) == document(generic)
+            sweep_header = ",".join(keys)
+            assert cli.render_csv(sweep_header, texted) == cli.render_csv(
+                sweep_header, np.column_stack(broadcast)
+            )
+            assert document(texted) == document(swept)
     _no_child_left()
 
 
@@ -868,6 +898,32 @@ def test_overflowing_pancharatnam_intensities_are_a_config_error(tmp_path, capsy
     assert not out.exists()
 
 
+_GRID_LAWS = {
+    "analyzer_angles": "classical",
+    "phase_delays": "classical",
+    "sphere_angles": "pancharatnam",
+    "phase_advances": "pancharatnam",
+    "relative_phases": "quantum",
+}
+
+
+# The span of the grid overflows; under --degrees the grid is checked as given, in degrees.
+@pytest.mark.parametrize("degrees", [[], ["--degrees"]], ids=["radians", "degrees"])
+@pytest.mark.parametrize("field", sorted(_GRID_LAWS))
+def test_an_overflowing_grid_is_a_config_error_naming_it(tmp_path, capsys, field, degrees):
+    grid = {"start": -1.7e308, "stop": 1.7e308, "count": 5}
+    params = dict(INTERFERENCE_SWEEPS[_GRID_LAWS[field]], **{field: grid})
+    config = write_config(tmp_path, {"parameters": params})
+    out = tmp_path / "sweep.json"
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        code = cli.main(["interference", "--config", str(config), "--output", str(out), *degrees])
+    assert code == cli.EXIT_SCHEMA
+    message = f"config field 'parameters/{field}': the grid from -1.7e+308 to 1.7e+308 overflows"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert shown == [] and not out.exists()
+
+
 def _no_child_left() -> None:
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -988,13 +1044,22 @@ def test_a_write_failing_mid_document_reaps_every_row_worker(
 ):
     if target == "/dev/full" and not os.path.exists(target):
         pytest.skip("no /dev/full")
-    descriptors = set(os.listdir("/proc/self/fd"))
+    descriptors, signals, real_kill = set(os.listdir("/proc/self/fd")), [], os.kill
+
+    def kill(pid, sig):
+        signals.append(sig)
+        real_kill(pid, sig)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        patch.setattr(os, "kill", kill)
         patch.setattr(sys, "stdout", _StdoutClosingPartway())
         code = cli.main(_long_evolve(tmp_path) + [fmt, "--output", target])
     assert (code, capsys.readouterr().err) == (cli.EXIT_IO, message)
     _no_child_left()
+    # The write fails in the first slice, this process's: the workers of the other two
+    # format text nobody reads, so each is killed before it is reaped.
+    assert signals == [signal.SIGKILL, signal.SIGKILL]
     assert set(os.listdir("/proc/self/fd")) == descriptors
 
 
