@@ -7,8 +7,8 @@ beam and a synthesized trajectory; the classical sweep is the interference
 runner's two law calls on a 120 x 120 grid. The render cases write a sweep's
 computed columns to a file as the evolve and interference runners do (an
 interference sweep formats each axis value once and broadcasts its text: the
-pancharatnam 200 x 200 JSON and the classical 120 x 120 CSV), on the CPUs the
-process may use and on one CPU (layer 4). The validation cases time
+pancharatnam 200 x 200 JSON and the classical 120 x 120 CSV), all in this
+process (layer 4). The validation cases time
 the built-in schema checker on a valid config and on an invalid one, whose
 first error it words. One case times ``import blochpoincare.cli`` in
 fresh interpreters and records the median ``-X importtime`` cumulative time
@@ -20,9 +20,9 @@ children do, and from a warm ``PYTHONPYCACHEPREFIX``, as an installed package
 runs; it records each median wall time in its ``extra_info``. The batch cases
 time the scenario runners (layer 3): perfbench's seed-0 ``scenario_batch``
 batch of 600 ``optimize-coherence`` scenarios through ``cli.main``
-in-process, on the CPUs the process may use and on one CPU. The render and
-batch cases record how many processes share the work as ``processes`` in
-their ``extra_info``. Run them from the repository root, outside the tier-1
+in-process, on the CPUs the process may use and on one CPU. The batch
+cases record how many processes share the work as ``processes`` in their
+``extra_info``. Run them from the repository root, outside the tier-1
 suite:
 
     PYTHONPATH=src python -m pytest benchmarks -q
@@ -31,7 +31,6 @@ pytest-benchmark prints min, median, IQR and rounds per case.
 """
 
 import json
-import math
 import os
 import statistics
 import subprocess
@@ -232,17 +231,13 @@ def _cpus(benchmark, monkeypatch, cpus: str, units: int) -> None:
     benchmark.extra_info["processes"] = min(len(os.sched_getaffinity(0)), units)
 
 
-@pytest.mark.parametrize("cpus", ["affinity", "one"])
-def test_emit_csv_trajectory_10000_rows(benchmark, tmp_path, monkeypatch, cpus):
-    _cpus(benchmark, monkeypatch, cpus, math.ceil(10_000 / cli._BLOCK))
+def test_emit_csv_trajectory_10000_rows(benchmark, tmp_path):
     columns = _trajectory(10_000)
     path = str(tmp_path / "trajectory.csv")
     benchmark(lambda: emit_csv(np.column_stack(columns), TRAJECTORY_HEADER, path))
 
 
-@pytest.mark.parametrize("cpus", ["affinity", "one"])
-def test_emit_json_trajectory_10000_rows(benchmark, tmp_path, monkeypatch, cpus):
-    _cpus(benchmark, monkeypatch, cpus, math.ceil(10_000 / cli._BLOCK))
+def test_emit_json_trajectory_10000_rows(benchmark, tmp_path):
     times, parts, bloch, fid = _trajectory(10_000)
     path = str(tmp_path / "trajectory.json")
 
@@ -261,9 +256,7 @@ def _sweep_rows(header: str, first, second, law, per_first=None):
     return Rows(zip(header.split(","), map(np.ravel, np.broadcast_arrays(*columns))))
 
 
-@pytest.mark.parametrize("cpus", ["affinity", "one"])
-def test_emit_json_pancharatnam_40000_rows(benchmark, tmp_path, monkeypatch, cpus):
-    _cpus(benchmark, monkeypatch, cpus, math.ceil(40_000 / cli._BLOCK))
+def test_emit_json_pancharatnam_40000_rows(benchmark, tmp_path):
     angles, advances = np.linspace(0.0, np.pi, 200), np.linspace(0.0, 2.0 * np.pi, 200)
     intensity = pancharatnam_intensity(1.0, 0.5, angles[:, None], advances)
     path = str(tmp_path / "sweep.json")
@@ -275,9 +268,7 @@ def test_emit_json_pancharatnam_40000_rows(benchmark, tmp_path, monkeypatch, cpu
     benchmark(emit)
 
 
-@pytest.mark.parametrize("cpus", ["affinity", "one"])
-def test_emit_csv_classical_14400_rows(benchmark, tmp_path, monkeypatch, cpus):
-    _cpus(benchmark, monkeypatch, cpus, math.ceil(120 * 120 / cli._BLOCK))
+def test_emit_csv_classical_14400_rows(benchmark, tmp_path):
     angles, delays = np.linspace(0.0, np.pi / 2.0, 120), np.linspace(0.0, 2.0 * np.pi, 120)
     intensity = classical_intensity(BEAM, angles[:, None], delays)
     visibility = fringe_visibility(BEAM, angles)

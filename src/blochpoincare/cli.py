@@ -14,16 +14,18 @@ its grid axes once and broadcasts that text into the rows; only the law's
 values are formatted row by row, and the bytes are those of formatting every
 row in full. Every run re-validates the library invariants
 on its own outputs before writing, except ``correspondence``: it writes its
-report, the diagnostic, and then fails on a failing row. A table longer than
-1024 rows is formatted on every CPU the process may use: contiguous slices
-of its rows go to forked worker processes, and this process writes their
-text in row order, so the bytes are the same on any number of CPUs. When
-the write fails part-way, the workers still formatting are killed.
+report, the diagnostic, and then fails on a failing row. A table is formatted
+in this process, 1024 rows at a time, and written as it is formatted.
+
+Importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless the environment
+already sets it: every BLAS operand of a run is 4x4 or smaller, so a larger
+pool only keeps idle threads. A value set before the run, such as
+``OPENBLAS_NUM_THREADS=4 blochpoincare ...``, is kept.
 
 A config may be an array of scenarios, a batch. Each entry's stdout and
 stderr, warnings included, are what it writes run alone, in entry order.
-Slices of the entries run in forked workers in the same way, each formatting
-its own tables in place, and this process writes their captured streams in
+Contiguous slices of the entries run in forked workers, one per CPU the
+process may use, and this process writes their captured streams in
 entry order: every file, each stream and the exit code are those of the
 in-order run. A slice whose worker fails (cannot start, is killed, or exits
 non-zero) runs in this process. ``taskset -c 0`` gives one CPU, and so does
@@ -42,7 +44,6 @@ before any law runs; under ``--degrees`` the grid is checked as given, in degree
 from __future__ import annotations
 
 import argparse
-import codecs
 import contextlib
 import functools
 import io
@@ -60,7 +61,9 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, List, Optional, Sequence
 
-import numpy as np
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read once, when numpy loads OpenBLAS
+
+import numpy as np  # noqa: E402
 
 from . import __version__
 from .bloch import bloch_vectors, fidelities, fidelity
@@ -270,9 +273,6 @@ def _convert_degrees(kind: str, params: dict) -> dict:
 # Forked workers
 # ---------------------------------------------------------------------------
 
-_forked = False  # whether slices of this process run in workers; true in each worker too
-
-
 def _start_worker(task: Callable, lo: int, hi: int, workers: dict) -> Optional[int]:
     """Fork ``task(lo, hi, file)`` on an anonymous file, kept in ``workers``; its pid, or None."""
     try:
@@ -296,33 +296,30 @@ def _start_worker(task: Callable, lo: int, hi: int, workers: dict) -> Optional[i
     return pid
 
 
-def _slices(units: int, task: Callable, fork: bool = True, pure: bool = False) -> Iterator[tuple]:
+def _slices(units: int, task: Callable, fork: bool = True) -> Iterator[tuple]:
     """Cut ``range(units)`` into one contiguous slice per CPU the process may use, in order.
 
     A forked worker runs each slice but the first as ``task(lo, hi, file)``. Each
     slice is yielded as ``(lo, hi, file)``, ``file`` rewound, once its worker has
     exited 0, else as ``(lo, hi, None)`` for this process to do: the first, and any
     whose worker could not start, was killed or exited non-zero. Every worker is
-    reaped, also when the consumer stops part-way; a ``pure`` task writes only to
-    its file, so then its workers are killed first. There is one slice where
+    reaped, also when the consumer stops part-way. There is one slice where
     ``fork`` is false, in a process with other Python threads (a lock one of them
-    holds would stay held in a worker), where SIGCHLD is ignored (the kernel would
-    reap the workers), and within another call's slices.
+    holds would stay held in a worker), and where SIGCHLD is ignored (the kernel
+    would reap the workers).
     """
-    global _forked
-    width, held = 1, _forked
-    if fork and units > 1 and not held and threading.active_count() == 1:
+    width = 1
+    if fork and units > 1 and threading.active_count() == 1:
         if all(hasattr(os, name) for name in ("fork", "memfd_create", "sched_getaffinity")):
             if signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN:
                 width = min(len(os.sched_getaffinity(0)), units)
     bounds = [units * i // width for i in range(width + 1)]
     started = [(0, bounds[1], None)]  # (lo, hi, worker pid or None)
     workers = {}  # pid -> file, for each worker not yet reaped
-    _forked = held or width > 1
     try:
         with warnings.catch_warnings():
-            # Python 3.12+ warns on a fork while any thread runs, and counts the
-            # BLAS pool's idle native threads, which its fork handlers stop.
+            # Python 3.12+ warns on a fork while any thread runs, and counts the idle
+            # native threads of a BLAS pool sized above 1, which its fork handlers stop.
             warnings.filterwarnings("ignore", "This process .* multi-threaded", DeprecationWarning)
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
                 started.append((lo, hi, _start_worker(task, lo, hi, workers)))
@@ -335,11 +332,8 @@ def _slices(units: int, task: Callable, fork: bool = True, pure: bool = False) -
                         continue
             yield lo, hi, None
     finally:
-        _forked = held
         for pid, file in workers.items():  # left only when the consumer stopped part-way
             file.close()
-            if pure:
-                os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
@@ -402,27 +396,13 @@ def _row_template(shape: tuple, indent: int) -> str:
 def _row_chunks(template: str, columns: Sequence[np.ndarray]) -> Iterator[str]:
     """``template % row`` for each row of the 1-D ``columns``, joined in blocks of rows.
 
-    A float column fills ``%.17g`` slots and a text column ``%s`` ones. Workers
-    format the slices of blocks after the first, streamed here in turn;
-    formatting is pure, so a slice whose worker failed is formatted here.
+    A float column fills ``%.17g`` slots and a text column ``%s`` ones.
     """
     if not all(np.isfinite(column).all() for column in columns if column.dtype != object):
         raise ValueError("refusing to serialize a non-finite float")
-    rows = len(columns[0])
-
-    def blocks(lo: int, hi: int) -> Iterator[str]:
-        for start in range(lo * _BLOCK, min(hi * _BLOCK, rows), _BLOCK):
-            block = [column[start : start + _BLOCK].tolist() for column in columns]
-            yield "".join([template % row for row in zip(*block)])
-
-    def format_slice(lo: int, hi: int, file: BinaryIO) -> None:
-        file.writelines(map(str.encode, blocks(lo, hi)))
-
-    for lo, hi, file in _slices(math.ceil(rows / _BLOCK), format_slice, pure=True):
-        if file is None:
-            yield from blocks(lo, hi)
-        else:
-            yield from codecs.iterdecode(iter(functools.partial(file.read, 1 << 16), b""), "utf-8")
+    for start in range(0, len(columns[0]), _BLOCK):
+        block = [column[start : start + _BLOCK].tolist() for column in columns]
+        yield "".join([template % row for row in zip(*block)])
 
 
 def _json_chunks(container, indent: int) -> Iterator[str]:

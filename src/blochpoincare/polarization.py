@@ -215,26 +215,22 @@ def wiener_decompose(j) -> WienerDecomposition:
     Conjugating with the reflection T(chi) = [[cos chi, sin chi],
     [sin chi, -cos chi]] moves the beam to the frame of the polarization
     ellipse of its polarized part, where the split into a multiple of the
-    identity plus a zero-determinant remainder is unique.
+    identity plus a zero-determinant remainder is unique. The split is taken
+    from the Stokes vector, with no difference of nearly equal terms: the
+    natural level is (S0 - |S|)/2, the major intensity (|S| + |S_lin|)/2 and
+    the minor one S3^2/(4 major), with |S_lin| = hypot(S1, S2).
     """
     j = validate_coherency(j)
-    trace = (j[0, 0] + j[1, 1]).real
-    det = (j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]).real
-    chi = orientation_angle(j)
-
-    c, s = np.cos(chi), np.sin(chi)
-    t = np.array([[c, s], [s, -c]])
-    principal = t @ j @ t
-    natural = (trace - np.sqrt(max(0.0, trace**2 - 4.0 * det))) / 2.0
-    major = max(0.0, principal[0, 0].real - natural)
-    minor = max(0.0, principal[1, 1].real - natural)
-    cross = float(j[0, 1].imag)
+    s0, s1, s2, s3 = stokes_from_coherency(j).tolist()
+    polarized = math.hypot(s1, s2, s3)
+    major = (polarized + math.hypot(s1, s2)) / 2.0
+    minor = s3 / 2.0 * (s3 / (2.0 * major)) if major > 0.0 else 0.0
     return WienerDecomposition(
-        natural_level=float(natural),
-        major_intensity=float(major),
-        minor_intensity=float(minor),
-        cross_amplitude=cross,
-        orientation=float(chi),
+        natural_level=(s0 - polarized) / 2.0,
+        major_intensity=major,
+        minor_intensity=minor,
+        cross_amplitude=float(j[0, 1].imag),
+        orientation=orientation_angle(j),
     )
 
 

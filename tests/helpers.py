@@ -480,3 +480,14 @@ def bitwise_equal(a, b):
     """True when two arrays hold the same doubles, signs of zero included."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Assert ``got == want``, naming the first line that differs rather than diffing both whole."""
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for number, (line, wanted) in enumerate(zip(got_lines, want_lines), 1):
+        if line != wanted:
+            raise AssertionError(f"line {number} differs: {line!r} != {wanted!r}")
+    raise AssertionError(f"{len(got_lines)} lines, expected {len(want_lines)}")

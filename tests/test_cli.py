@@ -28,6 +28,7 @@ from blochpoincare.speed_limit import (
     synthesize_min_time,
 )
 from helpers import (
+    assert_same_text,
     scalar_classical_intensity,
     scalar_fringe_visibility,
     scalar_pancharatnam_intensity,
@@ -406,7 +407,7 @@ _ROW_SHAPES = {
 # Edges of the double range, signed zeros and subnormals.
 _SPECIAL_DOUBLES = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072009e-308, 1.7976931348623157e308]
 
-# Sweep grids whose rows fill one block or cross the block and the 2- and 3-CPU slice bounds.
+# Sweep grids whose rows fill one block exactly, or run one to four blocks into the next.
 _GRIDS = [(32, 32), (25, 41), (43, 48), (47, 66), (70, 70)]
 
 
@@ -459,18 +460,13 @@ def test_row_templates_are_bytewise_the_generic_rendering(
     def document(body):
         return cli.render_json({"outer": {"rows": body}} if nested else {"rows": body})
 
-    for cpus in (1, 2, 3):  # a worker for each slice of whole blocks after the first
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            csv = cli.render_csv(header, table)
-            assert csv == f"# version={cli.__version__}\n{header}\n{lines}"
-            assert document(cli.Rows(fields)) == document(generic)
-            sweep_header = ",".join(keys)
-            assert cli.render_csv(sweep_header, texted) == cli.render_csv(
-                sweep_header, np.column_stack(broadcast)
-            )
-            assert document(texted) == document(swept)
-    _no_child_left()
+    csv = cli.render_csv(header, table)
+    assert_same_text(csv, f"# version={cli.__version__}\n{header}\n{lines}")
+    assert_same_text(document(cli.Rows(fields)), document(generic))
+    sweep_header = ",".join(keys)
+    want = cli.render_csv(sweep_header, np.column_stack(broadcast))
+    assert_same_text(cli.render_csv(sweep_header, texted), want)
+    assert_same_text(document(texted), document(swept))
 
 
 def test_published_schema_is_the_packaged_one():
@@ -666,7 +662,7 @@ def test_evolve_output_is_bytewise_the_row_by_row_reference(tmp_path, route, hba
     out = tmp_path / f"trajectory.{fmt}"
     argv = ["evolve", "--config", str(config), "--output", str(out), "--format", fmt, *argv]
     assert cli.main(argv) == cli.EXIT_OK
-    assert out.read_text() == _reference_trajectory(params, hbar, fmt)
+    assert_same_text(out.read_text(), _reference_trajectory(params, hbar, fmt))
 
 
 @pytest.mark.parametrize("energy", [1e-200, 1e200])
@@ -799,7 +795,7 @@ def test_interference_output_is_bytewise_the_row_by_row_reference(tmp_path, law,
     out = tmp_path / f"sweep.{fmt}"
     argv = ["interference", "--config", str(config), "--output", str(out), "--format", fmt]
     assert cli.main(argv) == cli.EXIT_OK
-    assert out.read_text() == _reference_interference(params, fmt)
+    assert_same_text(out.read_text(), _reference_interference(params, fmt))
 
 
 # Unless J is rescaled, I_x I_y underflows at these scales (a wrong row at
@@ -936,56 +932,6 @@ def _long_evolve(tmp_path):
     return ["evolve", "--config", str(config), "--format"]
 
 
-def _first_call(fault, real):
-    """``real``, except that its first call is ``fault``'s."""
-    calls = []
-
-    def call(*args):
-        calls.append(args)
-        return (fault if len(calls) == 1 else real)(*args)
-
-    return call
-
-
-def _raising(code: int):
-    def fail(*args):
-        raise OSError(code, os.strerror(code))
-
-    return fail
-
-
-def _failing_child(end):
-    """An ``os.fork`` whose child calls ``end`` at once."""
-
-    def fork(fork=os.fork):
-        pid = fork()
-        if pid == 0:
-            end()
-        return pid
-
-    return fork
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize(
-    "call, fault",
-    [("fork", _raising(errno.EAGAIN)), ("memfd_create", _raising(errno.EMFILE)),
-     ("fork", _failing_child(lambda: os.kill(os.getpid(), signal.SIGKILL))),
-     ("fork", _failing_child(lambda: os._exit(cli.EXIT_NUMERIC)))],
-    ids=["fork-EAGAIN", "memfd_create-EMFILE", "killed", "exited"],
-)
-def test_a_row_worker_that_fails_leaves_its_slice_to_this_process(tmp_path, fmt, call, fault):
-    argv = _long_evolve(tmp_path) + [fmt, "--output"]
-    assert cli.main([*argv, str(tmp_path / "one-cpu")]) == cli.EXIT_OK
-    with pytest.MonkeyPatch.context() as patch:
-        # Three CPUs make two workers: the first fails, the second runs.
-        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        patch.setattr(os, call, _first_call(fault, getattr(os, call)))
-        assert cli.main([*argv, str(tmp_path / "three-cpus")]) == cli.EXIT_OK
-    assert (tmp_path / "three-cpus").read_bytes() == (tmp_path / "one-cpu").read_bytes()
-    _no_child_left()
-
-
 def _ignoring_sigchld():
     signal.signal(signal.SIGCHLD, signal.SIG_IGN)
 
@@ -997,16 +943,11 @@ _ON_THREE_CPUS = (
 )
 
 
-@pytest.mark.parametrize("batch", [False, True], ids=["table", "batch"])
-def test_a_run_with_sigchld_ignored_runs_on_one_cpu(tmp_path, batch):
+def test_a_run_with_sigchld_ignored_runs_on_one_cpu(tmp_path):
     # An ignored SIGCHLD survives exec, and the kernel then reaps every child itself.
-    if batch:
-        outputs = ["out0.json", "out1.json"]
-        entries = [dict(OPTIMIZE_CONFIG, output={"path": path}) for path in outputs]
-        argv = ["optimize-coherence", "--config", str(write_config(tmp_path, entries))]
-    else:
-        outputs = ["trajectory.csv"]
-        argv = _long_evolve(tmp_path) + ["csv", "--output", outputs[0]]
+    outputs = ["out0.json", "out1.json"]
+    entries = [dict(OPTIMIZE_CONFIG, output={"path": path}) for path in outputs]
+    argv = ["optimize-coherence", "--config", str(write_config(tmp_path, entries))]
     default, ignored = tmp_path / "default", tmp_path / "ignored"
     default.mkdir()
     ignored.mkdir()
@@ -1017,6 +958,20 @@ def test_a_run_with_sigchld_ignored_runs_on_one_cpu(tmp_path, batch):
     assert (done.returncode, done.stdout, done.stderr) == (cli.EXIT_OK, "", "")
     for name in outputs:
         assert (ignored / name).read_bytes() == (default / name).read_bytes()
+
+
+@pytest.mark.parametrize("preset, pool", [(None, "1"), ("3", "3")], ids=["unset", "preset"])
+def test_importing_the_cli_sizes_the_blas_pool_unless_the_environment_does(
+    monkeypatch, preset, pool
+):
+    # Every BLAS operand of a run is 4x4 or smaller: one thread, unless the user asks for more.
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    script = "import os, blochpoincare.cli; print(os.environ['OPENBLAS_NUM_THREADS'], end='')"
+    done = _cli_process("-c", script)
+    assert (done.returncode, done.stdout, done.stderr) == (0, pool, "")
 
 
 class _StdoutClosingPartway(io.StringIO):
@@ -1039,27 +994,25 @@ class _StdoutClosingPartway(io.StringIO):
      ("-", "i/o error: [Errno 32] Broken pipe\n")],
     ids=["dev-full", "stdout"],
 )
-def test_a_write_failing_mid_document_reaps_every_row_worker(
+def test_a_write_failing_mid_table_exits_4_without_forking(
     tmp_path, capsys, fmt, target, message
 ):
     if target == "/dev/full" and not os.path.exists(target):
         pytest.skip("no /dev/full")
-    descriptors, signals, real_kill = set(os.listdir("/proc/self/fd")), [], os.kill
+    descriptors, forks = set(os.listdir("/proc/self/fd")), []
 
-    def kill(pid, sig):
-        signals.append(sig)
-        real_kill(pid, sig)
+    def fork():  # refused, so that a table formatted in slices would still finish here
+        forks.append(os.getpid())
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        patch.setattr(os, "kill", kill)
+        patch.setattr(os, "fork", fork)
         patch.setattr(sys, "stdout", _StdoutClosingPartway())
         code = cli.main(_long_evolve(tmp_path) + [fmt, "--output", target])
     assert (code, capsys.readouterr().err) == (cli.EXIT_IO, message)
+    assert forks == []  # a table, however long, is formatted in this process
     _no_child_left()
-    # The write fails in the first slice, this process's: the workers of the other two
-    # format text nobody reads, so each is killed before it is reaped.
-    assert signals == [signal.SIGKILL, signal.SIGKILL]
     assert set(os.listdir("/proc/self/fd")) == descriptors
 
 

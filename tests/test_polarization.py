@@ -1,7 +1,11 @@
 import itertools
+import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochpoincare.bloch import bloch_vector, fubini_study_angle
 from blochpoincare.interference import classical_intensity
@@ -393,6 +397,55 @@ def test_wiener_reconstruction_residual():
         assert abs(np.linalg.det(d.polarized_matrix)) < 1e-10
         report = degree_of_polarization(j)
         assert abs(d.polarized_intensity - report.polarized_intensity) < 1e-10
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-12])
+def test_wiener_split_of_a_nearly_natural_beam_is_accurate(eps):
+    # [[1, e], [e, 1]] is 1 - e of natural light and 2e polarized; the split must not
+    # cancel (tr - sqrt(tr^2 - 4 det) lost all but one digit of 2e at e = 1e-8).
+    d = wiener_decompose(np.array([[1.0, eps], [eps, 1.0]], dtype=complex))
+    assert d.polarized_intensity == pytest.approx(2.0 * eps, rel=1e-15)
+    assert d.natural_level == pytest.approx(1.0 - eps, rel=1e-15)
+    assert d.minor_intensity == 0.0
+
+
+@pytest.mark.parametrize("exponent", [-1000, -500, 500, 1000])
+def test_wiener_split_is_scale_free(exponent):
+    # An exact power-of-two scale of the beam scales every intensity of its split.
+    j = np.array([[3.0, 1.0 + 0.5j], [1.0 - 0.5j, 1.0]])
+    unit = wiener_decompose(j)
+    scaled = wiener_decompose(np.ldexp(j.view(float), exponent).view(complex))
+    for field in ("natural_level", "major_intensity", "minor_intensity", "cross_amplitude"):
+        want = math.ldexp(getattr(unit, field), exponent)
+        assert getattr(scaled, field) == pytest.approx(want, rel=1e-15), field
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_p=st.floats(-12.0, 0.0),
+    theta=st.floats(0.0, math.pi),
+    phi=st.floats(0.0, 2.0 * math.pi),
+)
+def test_wiener_split_matches_a_50_digit_oracle(log_p, theta, phi):
+    p = 10.0**log_p
+    axis = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+    j = coherency_from_stokes([1.0] + [p * a for a in axis])
+    d = wiener_decompose(j)
+    with mpmath.workdps(50):  # the exact split of the float entries of j
+        jxx, jyy = mpmath.mpf(j[0, 0].real), mpmath.mpf(j[1, 1].real)
+        s1, s2, s3 = jxx - jyy, 2 * mpmath.mpf(j[0, 1].real), 2 * mpmath.mpf(j[0, 1].imag)
+        linear = mpmath.sqrt(s1**2 + s2**2)
+        polarized = mpmath.sqrt(linear**2 + s3**2)
+        natural, major = (jxx + jyy - polarized) / 2, (polarized + linear) / 2
+        minor = s3**2 / (2 * (polarized + linear))
+
+        def relative(got, exact, scale=None):
+            return float(abs(got - exact) / (scale or exact)) if got != exact else 0.0
+
+        assert relative(d.polarized_intensity, polarized) <= 1e-14
+        assert relative(d.natural_level, natural, scale=jxx + jyy) <= 1e-14
+        assert relative(d.major_intensity, major) <= 1e-14
+        assert relative(d.minor_intensity, minor) <= 1e-14
 
 
 def test_orientation_angle_range_and_degenerate_case():
