@@ -407,7 +407,7 @@ _ROW_SHAPES = {
 # Edges of the double range, signed zeros and subnormals.
 _SPECIAL_DOUBLES = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072009e-308, 1.7976931348623157e308]
 
-# Sweep grids whose rows fill one block exactly, or run one to four blocks into the next.
+# Sweep grids of exactly one block, and of one to four whole blocks and part of the next.
 _GRIDS = [(32, 32), (25, 41), (43, 48), (47, 66), (70, 70)]
 
 
